@@ -87,7 +87,6 @@ from .signatures import (
     PlainSignature,
     parse_geometric_signature,
     parse_plain_signature,
-    plain_signature,
 )
 
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -135,7 +136,10 @@ def _oracle_shard(
 def _cmd_oracle(args) -> int:
     sig = parse_plain_signature(args.signature)
     n = args.n
-    if args.jobs <= 1:
+    # the shards' output is merged into canonical order, so clamping changes
+    # nothing but the number of worker processes
+    jobs = min(args.jobs, os.cpu_count() or 1)
+    if jobs <= 1:
         records = enumerate_skes(
             n,
             sig,
@@ -148,12 +152,12 @@ def _cmd_oracle(args) -> int:
             n,
             sig.gamma,
             sig.periods,
-            args.jobs,
+            jobs,
             args.max_group_order,
             args.max_tuple_length,
         )
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            shards = list(pool.map(worker, range(args.jobs)))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            shards = list(pool.map(worker, range(jobs)))
         leaves = sorted(
             (hyp + ell, hyp, ell) for shard in shards for hyp, ell in shard
         )
@@ -243,18 +247,6 @@ def _cmd_affordable(args) -> int:
     return 0
 
 
-def _classify_shard(
-    mode: str, n: int, k: int, genus_bound: int, jobs: int, shard: int
-) -> list[dict]:
-    if mode == "complete":
-        rows = classify_complete(n)
-    else:
-        rows = classify_k_decompositions(n, k, genus_bound)
-    return [
-        row.to_json_dict() for i, row in enumerate(rows) if i % jobs == shard
-    ]
-
-
 def _emit_classification(rows: list[dict], as_json: bool) -> None:
     for row in rows:
         if as_json:
@@ -270,28 +262,11 @@ def _emit_classification(rows: list[dict], as_json: bool) -> None:
 
 
 def _cmd_classify(args) -> int:
-    mode = args.mode
-    k = getattr(args, "k", None) or 0
-    genus_bound = getattr(args, "genus_bound", None) or 0
-    if args.jobs <= 1:
-        if mode == "complete":
-            rows = [row.to_json_dict() for row in classify_complete(args.n)]
-        else:
-            rows = [
-                row.to_json_dict()
-                for row in classify_k_decompositions(args.n, k, genus_bound)
-            ]
+    if args.mode == "complete":
+        rows = classify_complete(args.n)
     else:
-        worker = partial(_classify_shard, mode, args.n, k, genus_bound, args.jobs)
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            shards = list(pool.map(worker, range(args.jobs)))
-        rows = []
-        # round-robin merge restores the original enumeration order
-        for i in range(max((len(s) for s in shards), default=0)):
-            for shard in shards:
-                if i < len(shard):
-                    rows.append(shard[i])
-    _emit_classification(rows, args.json)
+        rows = classify_k_decompositions(args.n, args.k, args.genus_bound)
+    _emit_classification([row.to_json_dict() for row in rows], args.json)
     return 0
 
 
@@ -511,13 +486,11 @@ def build_parser() -> _Parser:
     csub = p.add_subparsers(dest="mode", required=True, parser_class=_Parser)
     pc = csub.add_parser("complete", parents=[common])
     pc.add_argument("n", type=int)
-    pc.add_argument("--jobs", type=int, default=1)
     pc.set_defaults(func=_cmd_classify)
     pk = csub.add_parser("kdec", parents=[common])
     pk.add_argument("n", type=int)
     pk.add_argument("k", type=int)
     pk.add_argument("--genus-bound", type=int, required=True)
-    pk.add_argument("--jobs", type=int, default=1)
     pk.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser(

@@ -143,6 +143,50 @@ def all_elements(n: int) -> list[DihedralElement]:
 
 
 # ---------------------------------------------------------------------------
+# integer encoding: r^i -> i, s*r^i -> n + i
+
+
+def element_index(g: DihedralElement) -> int:
+    return g.exponent + g.n * (1 if g.reflector else 0)
+
+
+def element_from_index(n: int, idx: int) -> DihedralElement:
+    if not 0 <= idx < 2 * n:
+        raise InvalidArgumentError(f"element index {idx} out of range for n = {n}")
+    return DihedralElement(n, idx >= n, idx % n)
+
+
+def index_mul(n: int, x: int, y: int) -> int:
+    """Product of two integer-encoded elements of D_n."""
+    r1, i1 = x // n, x % n
+    r2, i2 = y // n, y % n
+    sign = -1 if r2 else 1
+    return (i2 + sign * i1) % n + n * (r1 ^ r2)
+
+
+def span(n: int, ids) -> frozenset[int]:
+    """Subgroup of D_n generated by the integer-encoded elements ids.
+
+    Breadth-first search from the identity that multiplies by the generators
+    only: O(|subgroup| * len(ids)) products, no table and no knowledge of the
+    subgroup lattice.
+    """
+    gens = set(ids)
+    elems = {0}
+    frontier = [0]
+    while frontier:
+        grown = []
+        for g in frontier:
+            for x in gens:
+                h = index_mul(n, g, x)
+                if h not in elems:
+                    elems.add(h)
+                    grown.append(h)
+        frontier = grown
+    return frozenset(elems)
+
+
+# ---------------------------------------------------------------------------
 # subgroups in conjugacy normal form
 
 
@@ -220,25 +264,21 @@ def parse_subgroup(n: int, text: str) -> Subgroup:
 
 def subgroup_from_elements(n: int, gens) -> Subgroup:
     """Closure of gens reduced to conjugacy normal form."""
-    import math
-
     _check_n(n)
-    elems = set(gens)
-    elems.add(DihedralElement.identity(n))
-    frontier = True
-    while frontier:
-        new = {a * b for a in elems for b in elems} - elems
-        frontier = bool(new)
-        elems |= new
-    rot_exps = [g.exponent for g in elems if not g.reflector]
-    refl = [g for g in elems if g.reflector]
-    alpha = len(rot_exps)
+    ids = []
+    for g in gens:
+        if g.n != n:
+            raise InvalidArgumentError("generator belongs to a different group")
+        ids.append(element_index(g))
+    elems = span(n, ids)
+    alpha = sum(1 for x in elems if x < n)
+    refl = [x - n for x in elems if x >= n]
     if not refl:
         return Subgroup(n, "C", alpha)
     if n % 2 == 1 or (n // alpha) % 2 == 1:
         return Subgroup(n, "H", alpha)
     # reflection exponent parity is conjugacy invariant here
-    return Subgroup(n, "H" if refl[0].exponent % 2 == 0 else "K", alpha)
+    return Subgroup(n, "H" if refl[0] % 2 == 0 else "K", alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +321,19 @@ class Irrep:
     def degree(self) -> int:
         return 2 if self.kind == "rho" else 1
 
+    def _psi_is_negative(self, g: DihedralElement) -> bool:
+        """Whether a 1-dimensional character takes the value -1 at g: psi3
+        and psi4 negate odd powers of r, psi2 and psi4 negate s."""
+        flip_r = self.kind in ("psi3", "psi4") and g.exponent % 2 == 1
+        flip_s = self.kind in ("psi2", "psi4") and g.reflector
+        return flip_r != flip_s
+
     def character(self, g: DihedralElement) -> CyclotomicInteger:
         if g.n != self.n:
             raise InvalidArgumentError("element belongs to a different group")
         n = self.n
         if self.kind != "rho":
-            sign_r = -1 if self.kind in ("psi3", "psi4") else 1
-            sign_s = -1 if self.kind in ("psi2", "psi4") else 1
-            value = (sign_r ** g.exponent) * (sign_s if g.reflector else 1)
-            return CyclotomicInteger.from_int(n, value)
+            return CyclotomicInteger.from_int(n, -1 if self._psi_is_negative(g) else 1)
         if g.reflector:
             return CyclotomicInteger.zero(n)
         e = self.h * g.exponent
@@ -304,8 +348,7 @@ class Irrep:
             raise InvalidArgumentError("element belongs to a different group")
         m = g.order()
         if self.kind != "rho":
-            value = self.character(g).as_integer()
-            return ((m if value == 1 else m // 2, m),)
+            return ((m // 2 if self._psi_is_negative(g) else m, m),)
         if g.reflector:
             return ((1, 2), (2, 2))
         if g.is_identity:

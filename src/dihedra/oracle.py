@@ -22,25 +22,18 @@ from .correspondence import AnalyticCharacter
 from .errors import BudgetExceededError, InvalidArgumentError
 from .group import (
     DihedralElement,
-    Irrep,
+    element_from_index,
+    element_index,
+    index_mul,
     irreducible_reps,
     n_function,
     parse_element,
+    span,
 )
 from .signatures import GeometricSignature, PlainSignature
 
 DEFAULT_MAX_GROUP_ORDER = 24
 DEFAULT_MAX_TUPLE_LENGTH = 7
-
-
-def element_index(g: DihedralElement) -> int:
-    return g.exponent + g.n * (1 if g.reflector else 0)
-
-
-def element_from_index(n: int, idx: int) -> DihedralElement:
-    if not 0 <= idx < 2 * n:
-        raise InvalidArgumentError(f"element index {idx} out of range for n = {n}")
-    return DihedralElement(n, idx >= n, idx % n)
 
 
 @dataclass(frozen=True)
@@ -72,14 +65,8 @@ class GeneratingVector:
         return prod
 
     def generates(self) -> bool:
-        elems = set(self.hyperbolic) | set(self.elliptic)
-        elems.add(DihedralElement.identity(self.n))
-        grew = True
-        while grew:
-            new = {a * b for a in elems for b in elems} - elems
-            grew = bool(new)
-            elems |= new
-        return len(elems) == 2 * self.n
+        entries = (*self.hyperbolic, *self.elliptic)
+        return len(span(self.n, map(element_index, entries))) == 2 * self.n
 
     def to_json_dict(self) -> dict:
         return {
@@ -185,14 +172,7 @@ class SkeRecord:
 @lru_cache(maxsize=None)
 def _tables(n: int):
     size = 2 * n
-
-    def mul(x: int, y: int) -> int:
-        r1, i1 = x // n, x % n
-        r2, i2 = y // n, y % n
-        sign = -1 if r2 else 1
-        return (i2 + sign * i1) % n + n * (r1 ^ r2)
-
-    M = [[mul(x, y) for y in range(size)] for x in range(size)]
+    M = [[index_mul(n, x, y) for y in range(size)] for x in range(size)]
     inv = [x if x >= n else (-x) % n for x in range(size)]
     order = [2 if x >= n else (n // math.gcd(n, x) if x else 1) for x in range(size)]
     by_order: dict[int, list[int]] = {}
@@ -215,14 +195,12 @@ class _SubgroupInterner:
     cost one dictionary lookup per chosen element."""
 
     def __init__(self, n: int):
-        M, _, _, _, _ = _tables(n)
-        self._M = M
-        self._size = 2 * n
+        self._n = n
         self._sets: list[frozenset[int]] = [frozenset([0])]
         self._ids: dict[frozenset[int], int] = {self._sets[0]: 0}
         self._extend: dict[tuple[int, int], int] = {}
         self.trivial = 0
-        self.whole = self._intern(frozenset(range(self._size)))
+        self.whole = self._intern(frozenset(range(2 * n)))
 
     def _intern(self, elems: frozenset[int]) -> int:
         sid = self._ids.get(elems)
@@ -237,22 +215,7 @@ class _SubgroupInterner:
         out = self._extend.get(key)
         if out is None:
             base = self._sets[sid]
-            if x in base:
-                out = sid
-            else:
-                M = self._M
-                elems = set(base)
-                frontier = [x]
-                while frontier:
-                    g = frontier.pop()
-                    if g in elems:
-                        continue
-                    elems.add(g)
-                    for h in list(elems):
-                        for prod in (M[g][h], M[h][g]):
-                            if prod not in elems:
-                                frontier.append(prod)
-                out = self._intern(frozenset(elems))
+            out = sid if x in base else self._intern(span(self._n, base | {x}))
             self._extend[key] = out
         return out
 

@@ -18,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .divisors import IntegerFunction, divisor_transform, divisors
+from .divisors import IntegerFunction
 from .errors import (
     DegenerateSignatureError,
     InvalidArgumentError,
@@ -160,18 +160,6 @@ class GeometricSignature:
 
     def __str__(self) -> str:
         return format_geometric_signature(self)
-
-
-def plain_signature(gs: GeometricSignature) -> PlainSignature:
-    return gs.plain()
-
-
-def hat_function_table(gs: GeometricSignature) -> IntegerFunction:
-    """Hat signature function tabulated on the divisors of n."""
-    psi = gs.signature_integer_function()
-    return IntegerFunction(
-        gs.n, {q: divisor_transform(psi, q) for q in divisors(gs.n)}
-    )
 
 
 # ---------------------------------------------------------------------------

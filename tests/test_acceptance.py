@@ -7,7 +7,7 @@ check; each also prints a summary with corpus sizes and elapsed time.
 The two expensive corpora are shared module fixtures: the realizable
 geometric signatures for n <= 24 up to genus 60, and a full brute-force
 ske scan for n in {3,4,5,6,8,10,12} over all plain signatures with
-2*gamma + v <= 6.
+2*gamma + v <= 6 and periods in {2} and the divisors of n.
 """
 
 import itertools
@@ -32,7 +32,12 @@ from dihedra.divisors import (
     inverse_divisor_transform,
 )
 from dihedra.errors import DihedraError
-from dihedra.group import irreducible_reps, parse_subgroup, rho_index_bound
+from dihedra.group import (
+    element_from_index,
+    irreducible_reps,
+    parse_subgroup,
+    rho_index_bound,
+)
 from dihedra.jacobian import (
     classify_complete,
     classify_k_decompositions,
@@ -48,7 +53,6 @@ from dihedra.jacobian import (
 from dihedra.oracle import (
     GeneratingVector,
     chevalley_weil,
-    element_from_index,
     geosig_of_ske,
     scan_skes,
     verify_ske,
@@ -86,7 +90,9 @@ def signature_corpus():
 
 
 def _plain_signatures(n: int):
-    values = [m for m in divisors(n) if m >= 2]
+    # 2 is a period for every n: odd n has no order-2 rotation, but its
+    # reflections have order 2
+    values = sorted({2} | {m for m in divisors(n) if m >= 2})
     for gamma in range(ORACLE_BUDGET // 2 + 1):
         for v in range(ORACLE_BUDGET - 2 * gamma + 1):
             for periods in itertools.combinations_with_replacement(values, v):

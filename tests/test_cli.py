@@ -94,6 +94,36 @@ def test_oracle_jobs_deterministic(capsys):
     assert code == 0 and parallel == serial
 
 
+def test_oracle_jobs_clamped_to_cpu_count(capsys, monkeypatch):
+    """--jobs beyond the core count runs os.cpu_count() shards; an
+    in-process executor stands in for the pool, so no process starts."""
+    import dihedra.cli as cli
+
+    workers = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    _, serial, _ = run(capsys, "oracle", "3", "(0; 2,2,3,3)", "--json")
+    code, clamped, _ = run(
+        capsys, "oracle", "3", "(0; 2,2,3,3)", "--json", "--jobs", "1000000"
+    )
+    assert code == 0 and clamped == serial
+    assert workers == [2]
+
+
 def test_decompose(capsys):
     code, out, _ = run(capsys, "decompose", "D45(0; 2^2, 5, 9)")
     assert code == 0 and out == "JS ~ B(15)^2 x B(45)^2 (genus 32)\n"
@@ -168,19 +198,6 @@ def test_classify_kdec(capsys):
         capsys, "classify", "kdec", "5", "2", "--genus-bound", "12", "--json"
     )
     assert code == 0 and out.splitlines() == golden
-
-
-def test_classify_jobs_deterministic(capsys):
-    _, serial, _ = run(capsys, "classify", "complete", "6", "--json")
-    code, parallel, _ = run(
-        capsys, "classify", "complete", "6", "--json", "--jobs", "3"
-    )
-    assert code == 0 and parallel == serial
-    _, serial, _ = run(capsys, "classify", "kdec", "5", "2", "--genus-bound", "12")
-    code, parallel, _ = run(
-        capsys, "classify", "kdec", "5", "2", "--genus-bound", "12", "--jobs", "2"
-    )
-    assert code == 0 and parallel == serial
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -23,10 +24,14 @@ from dihedra import (
 )
 from dihedra.group import (
     character_inner_product,
+    element_index,
     fixed_dim_by_average,
+    index_mul,
     irrep_inner_product,
     n_function_table,
+    span,
 )
+from dihedra.oracle import GeneratingVector
 
 small_n = st.integers(min_value=2, max_value=30)
 
@@ -65,6 +70,8 @@ def test_multiplication_matches_permutation_model(n):
             lhs = _perm(a * b)
             rhs = tuple(_perm(a)[_perm(b)[i]] for i in range(n))
             assert lhs == rhs
+            ab = index_mul(n, element_index(a), element_index(b))
+            assert ab == element_index(a * b)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -160,6 +167,28 @@ def test_normal_form_is_conjugacy_invariant():
         for g in all_elements(n):
             conj = [x.conjugate_by(g) for x in S.elements()]
             assert subgroup_from_elements(n, conj) == base
+
+
+def _all_pairs_closure(n, gens):
+    """Reference closure: multiply every pair of elements until nothing new
+    appears."""
+    elems = set(gens) | {DihedralElement.identity(n)}
+    while True:
+        new = {a * b for a in elems for b in elems} - elems
+        if not new:
+            return elems
+        elems |= new
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_span_and_generates_match_all_pairs_closure(n):
+    elements = all_elements(n)
+    for k in range(4):
+        for gens in itertools.combinations(elements, k):
+            closure = {element_index(g) for g in _all_pairs_closure(n, gens)}
+            assert span(n, map(element_index, gens)) == closure
+            vec = GeneratingVector(n, 0, (), gens)
+            assert vec.generates() == (len(closure) == 2 * n)
 
 
 def test_whole_group():

@@ -20,7 +20,7 @@ from dihedra import (
     verify_ske,
 )
 from dihedra.cli import canonical_json
-from dihedra.oracle import element_from_index, element_index
+from dihedra.group import element_from_index, element_index
 
 GOLDEN = Path(__file__).parent / "golden" / "ske_d3_g0_2233.jsonl"
 
