@@ -202,7 +202,7 @@ class Subgroup:
         _check_n(self.n)
         if self.family not in ("H", "K", "C"):
             raise InvalidArgumentError(f"unknown subgroup family {self.family!r}")
-        if self.n % self.alpha != 0 or self.alpha < 1:
+        if self.alpha < 1 or self.n % self.alpha != 0:
             raise InvalidArgumentError(
                 f"alpha = {self.alpha} must divide n = {self.n}"
             )

@@ -14,15 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .correspondence import AnalyticCharacter, analytic_from_geosig
+from .correspondence import analytic_from_geosig
 from .divisors import divisors, euler_phi, prime_factors
-from .errors import (
-    InvalidArgumentError,
-    NotRealizableError,
-    UnsupportedScopeError,
-)
-from .group import DihedralElement, Irrep, Subgroup, all_elements, fixed_dim
-from .realizability import enumerate_realizable_geosigs, is_realizable
+from .errors import InvalidArgumentError, UnsupportedScopeError
+from .group import Irrep, Subgroup, element_index, fixed_dim, index_mul
+from .realizability import enumerate_realizable_geosigs, require_realizable
 from .signatures import GeometricSignature
 
 _KIND_ORDER = {"J": 0, "B2": 1, "B3": 2, "B4": 3, "Bq": 4}
@@ -96,17 +92,14 @@ class IsogenyDecomposition:
         }
 
 
-def _require_realizable(gs: GeometricSignature, allow_low_genus: bool) -> None:
-    res = is_realizable(gs, allow_low_genus=allow_low_genus)
-    if not res:
-        raise NotRealizableError(f"{gs} is not realizable: {res.reason}")
-
-
-def _character_factors(
-    n: int, V: AnalyticCharacter
+def _factors(
+    gs: GeometricSignature, allow_low_genus: bool
 ) -> list[tuple[str, int | None, int, Irrep]]:
-    """(kind, q, dim, attached irrep) for every potential factor, zeros
-    included; the irrep drives fixed-dimension multiplicities."""
+    """(kind, q, dim, attached irrep) for every potential factor of a
+    realizable gs, zeros included; the irrep drives fixed-dimension
+    multiplicities."""
+    require_realizable(gs, allow_low_genus)
+    n, V = gs.n, analytic_from_geosig(gs)
     out: list[tuple[str, int | None, int, Irrep]] = [
         ("J", None, V.psi[0], Irrep(n, "psi1")),
         ("B2", None, V.psi[1], Irrep(n, "psi2")),
@@ -127,23 +120,19 @@ def component_dimensions(
 ) -> dict[str, int]:
     """Dimensions of all potential factors (zeros included), keyed 'J',
     'B2', 'B3', 'B4', 'B(q)'."""
-    _require_realizable(gs, allow_low_genus)
-    V = analytic_from_geosig(gs)
-    out = {}
-    for kind, q, dim, _ in _character_factors(gs.n, V):
-        out[f"B({q})" if kind == "Bq" else kind] = dim
-    return out
+    return {
+        f"B({q})" if kind == "Bq" else kind: dim
+        for kind, q, dim, _ in _factors(gs, allow_low_genus)
+    }
 
 
 def full_decomposition(
     gs: GeometricSignature, *, allow_low_genus: bool = False
 ) -> IsogenyDecomposition:
     """JS up to isogeny: J(S/G) x B2 (x B3 x B4) x prod B(q)^2."""
-    _require_realizable(gs, allow_low_genus)
-    V = analytic_from_geosig(gs)
     factors = [
         Factor(kind, q, dim, 2 if kind == "Bq" else 1)
-        for kind, q, dim, _ in _character_factors(gs.n, V)
+        for kind, q, dim, _ in _factors(gs, allow_low_genus)
     ]
     return IsogenyDecomposition(gs.n, tuple(factors))
 
@@ -155,11 +144,9 @@ def quotient_decomposition(
     the dimension of the subspace of its representation fixed by H."""
     if H.n != gs.n:
         raise InvalidArgumentError("subgroup belongs to a different group")
-    _require_realizable(gs, allow_low_genus)
-    V = analytic_from_geosig(gs)
     factors = [
         Factor(kind, q, dim, fixed_dim(irrep, H))
-        for kind, q, dim, irrep in _character_factors(gs.n, V)
+        for kind, q, dim, irrep in _factors(gs, allow_low_genus)
     ]
     return IsogenyDecomposition(gs.n, tuple(factors))
 
@@ -177,11 +164,9 @@ def prym_decomposition(
         raise InvalidArgumentError("subgroup belongs to a different group")
     if H == K or not K.contains_subgroup(H):
         raise InvalidArgumentError(f"{K} must strictly contain {H}")
-    _require_realizable(gs, allow_low_genus)
-    V = analytic_from_geosig(gs)
     factors = [
         Factor(kind, q, dim, fixed_dim(irrep, H) - fixed_dim(irrep, K))
-        for kind, q, dim, irrep in _character_factors(gs.n, V)
+        for kind, q, dim, irrep in _factors(gs, allow_low_genus)
     ]
     return IsogenyDecomposition(gs.n, tuple(factors))
 
@@ -189,41 +174,38 @@ def prym_decomposition(
 def quotient_genus(
     gs: GeometricSignature, H: Subgroup, *, allow_low_genus: bool = False
 ) -> int:
-    """Genus of S/H by Riemann-Hurwitz over S/G, counting the fiber of each
-    branch point through double cosets; independent of the character
-    formulas."""
+    """Genus of S/H by Riemann-Hurwitz over S/G; independent of the
+    character formulas.
+
+    Over a branch point with stabilizer Sigma the fiber of S/H -> S/G has
+    one point per double coset H g Sigma, and the ramification indices of
+    the fiber add up to the degree [G:H]; so the branch point adds
+    [G:H] - #(H\\G/Sigma) to the Euler count.
+    """
     if H.n != gs.n:
         raise InvalidArgumentError("subgroup belongs to a different group")
-    _require_realizable(gs, allow_low_genus)
+    require_realizable(gs, allow_low_genus)
     n = gs.n
-    group = all_elements(n)
-    h_elems = H.elements()
+    h_ids = [element_index(h) for h in H.elements()]
     index = (2 * n) // H.order
     total = index * (2 * gs.gamma - 2)
 
-    stabilizers: list[tuple[list[DihedralElement], int]] = []
-    if gs.a:
-        stabilizers.append((Subgroup(n, "H", 1).elements(), gs.a))
-    if gs.b:
-        stabilizers.append((Subgroup(n, "K", 1).elements(), gs.b))
-    for m in sorted(set(gs.periods)):
-        stabilizers.append(
-            (Subgroup(n, "C", m).elements(), gs.periods.count(m))
-        )
-
+    stabilizers = [(Subgroup(n, "H", 1), gs.a), (Subgroup(n, "K", 1), gs.b)]
+    stabilizers += [(Subgroup(n, "C", m), gs.periods.count(m)) for m in set(gs.periods)]
     for sigma, count in stabilizers:
-        sigma_set = set(sigma)
-        covered: set[DihedralElement] = set()
-        ram = 0
-        for g in group:
+        if not count:
+            continue
+        s_ids = [element_index(s) for s in sigma.elements()]
+        covered: set[int] = set()
+        cosets = 0
+        for g in range(2 * n):
             if g in covered:
                 continue
-            covered |= {h * g * s for h in h_elems for s in sigma}
-            g_inv = g.inverse()
-            stab = sum(1 for h in h_elems if (g_inv * h * g) in sigma_set)
-            e = len(sigma) // stab
-            ram += e - 1
-        total += count * ram
+            cosets += 1
+            for h in h_ids:
+                hg = index_mul(n, h, g)
+                covered.update(index_mul(n, hg, s) for s in s_ids)
+        total += count * (index - cosets)
     if total % 2 != 0:
         raise AssertionError(f"odd Euler contribution for {gs} and {H}")
     genus = (total + 2) // 2
@@ -246,10 +228,9 @@ def L_function(Q, q: int) -> int:
 
 def q_theta(gs: GeometricSignature, *, allow_low_genus: bool = False) -> tuple[int, ...]:
     """Divisors q >= 3 of n whose factor B(q) has positive dimension."""
-    _require_realizable(gs, allow_low_genus)
-    V = analytic_from_geosig(gs)
     return tuple(
-        q for q in divisors(gs.n) if q >= 3 and V.mult_rho(gs.n // q) >= 1
+        q for kind, q, dim, _ in _factors(gs, allow_low_genus)
+        if kind == "Bq" and dim > 0
     )
 
 
@@ -338,15 +319,21 @@ def _max_complete_genus(n: int) -> int:
     return bound
 
 
+def _classify(n: int, k: int, genus_bound: int) -> list[ClassificationRow]:
+    """Realizable signatures with genus <= genus_bound whose Jacobian splits
+    into factors all of dimension exactly k, sorted by genus."""
+    rows = []
+    for gs in enumerate_realizable_geosigs(n, genus_bound):
+        dec = full_decomposition(gs)
+        if all(f.dim == k for f in dec.factors):
+            rows.append(ClassificationRow(n, gs.genus(), gs, dec))
+    return rows
+
+
 def classify_complete(n: int) -> list[ClassificationRow]:
     """All realizable signatures for D_n whose Jacobian splits into factors
     of dimension one, with their decompositions, sorted by genus."""
-    rows = []
-    for gs in enumerate_realizable_geosigs(n, _max_complete_genus(n)):
-        dec = full_decomposition(gs)
-        if all(f.dim == 1 for f in dec.factors):
-            rows.append(ClassificationRow(n, gs.genus(), gs, dec))
-    return rows
+    return _classify(n, 1, _max_complete_genus(n))
 
 
 def classify_k_decompositions(
@@ -362,9 +349,4 @@ def classify_k_decompositions(
     # multiple of its orbit size phi(n)/2
     if k % (euler_phi(n) // 2) != 0:
         return []
-    rows = []
-    for gs in enumerate_realizable_geosigs(n, genus_bound):
-        dec = full_decomposition(gs)
-        if all(f.dim == k for f in dec.factors):
-            rows.append(ClassificationRow(n, gs.genus(), gs, dec))
-    return rows
+    return _classify(n, k, genus_bound)

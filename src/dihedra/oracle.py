@@ -22,6 +22,7 @@ from .correspondence import AnalyticCharacter
 from .errors import BudgetExceededError, InvalidArgumentError
 from .group import (
     DihedralElement,
+    _check_n,
     element_from_index,
     element_index,
     index_mul,
@@ -255,6 +256,7 @@ def scan_skes(
     first_unit_filter, when given, restricts the first choice (alpha_1, or
     c_1 when gamma = 0) to ids accepted by the predicate; used for sharding.
     """
+    _check_n(n)
     _check_budget(n, sig, max_group_order, max_tuple_length)
     gamma, periods = sig.gamma, sig.periods
     M, inv, order, by_order, solutions = _tables(n)

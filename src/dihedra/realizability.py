@@ -93,6 +93,14 @@ def is_realizable(
     return _conditions(gs)
 
 
+def require_realizable(gs: GeometricSignature, allow_low_genus: bool) -> None:
+    """Raise NotRealizableError, naming the failed condition, unless gs is
+    realizable."""
+    res = is_realizable(gs, allow_low_genus=allow_low_genus)
+    if not res:
+        raise NotRealizableError(f"{gs} is not realizable: {res.reason}")
+
+
 # ---------------------------------------------------------------------------
 # explicit generating vectors
 
@@ -184,9 +192,7 @@ def generating_vector(
     The result is re-verified: it satisfies the long relation, has exact
     elliptic orders, generates, and presents gs itself.
     """
-    res = is_realizable(gs, allow_low_genus=allow_low_genus)
-    if not res:
-        raise NotRealizableError(f"{gs} is not realizable: {res.reason}")
+    require_realizable(gs, allow_low_genus)
     vec = _build_vector(gs)
     if not verify_ske(vec, gs.plain()) or geosig_of_ske(vec) != gs:
         raise AssertionError(f"constructed vector {vec} fails verification for {gs}")

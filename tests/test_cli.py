@@ -61,6 +61,8 @@ def test_realizable(capsys):
     assert code == 0 and out == "not realizable: odd.cond2.count\n"
     code, out, _ = run(capsys, "realizable", "D5(0; 5^3)", "--json")
     assert out == '{"realizable":false,"reason":"odd.cond2.count"}\n'
+    code, out, _ = run(capsys, "realizable", "D3(0; 2^2, 3^2)", "--json")
+    assert code == 0 and out == '{"realizable":true,"reason":"ok"}\n'
 
 
 def test_genvec(capsys):
@@ -270,6 +272,22 @@ def test_domain_errors_are_canonical_json(capsys):
     assert code == 2 and json.loads(out)["error"] == "budget"
     code, out, _ = run(capsys, "prym", "D10(2; -)", "--component", "5")
     assert code == 2 and json.loads(out)["error"] == "unsupported-scope"
+    for n, sig in (("0", "(0; 2, 2)"), ("1", "(0; 2, 2)"), ("-4", "(0; 3, 3)")):
+        assert run(capsys, "oracle", n, sig) == (
+            2,
+            '{"error":"invalid-argument",'
+            f'"message":"n must be an integer >= 2, got {n}"}}\n',
+            "",
+        )
+    for argv in (
+        ("quotient", "D6(0; s, sr, 2, 3)", "H(0)"),
+        ("prym", "D6(0; s, sr, 2, 3)", "C(0)", "H(6)"),
+    ):
+        assert run(capsys, *argv) == (
+            2,
+            '{"error":"invalid-argument","message":"alpha = 0 must divide n = 6"}\n',
+            "",
+        )
 
 
 # ---------------------------------------------------------------------------

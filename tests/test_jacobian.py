@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dihedra import (
+    DihedralElement,
     Factor,
     GeometricSignature,
     InvalidArgumentError,
@@ -12,6 +13,7 @@ from dihedra import (
     NotRealizableError,
     Subgroup,
     UnsupportedScopeError,
+    all_elements,
     classify_complete,
     classify_k_decompositions,
     component_dimensions,
@@ -116,6 +118,50 @@ def test_quotient_genus_of_sigma3():
     }
     for spec, genus in values.items():
         assert quotient_genus(S3, Subgroup(3, *spec)) == genus
+
+
+def _coset_walk_genus(gs, H):
+    """Reference: Riemann-Hurwitz over S/G with the ramification index
+    e = |Sigma| / |H & g Sigma g^-1| of every double coset H g Sigma,
+    walked with element arithmetic."""
+    n = gs.n
+    h_elems = H.elements()
+    total = (2 * n) // H.order * (2 * gs.gamma - 2)
+    stabilizers = [(Subgroup(n, "H", 1), gs.a), (Subgroup(n, "K", 1), gs.b)]
+    stabilizers += [(Subgroup(n, "C", m), gs.periods.count(m)) for m in set(gs.periods)]
+    for sigma, count in stabilizers:
+        if not count:
+            continue
+        sigma_elems = sigma.elements()
+        covered: set[DihedralElement] = set()
+        for g in all_elements(n):
+            if g in covered:
+                continue
+            covered |= {h * g * s for h in h_elems for s in sigma_elems}
+            stab = sum(1 for h in h_elems if g.inverse() * h * g in sigma_elems)
+            total += count * (len(sigma_elems) // stab - 1)
+    assert total % 2 == 0
+    return (total + 2) // 2
+
+
+def _subgroup_classes(n):
+    for alpha in divisors(n):
+        yield Subgroup(n, "C", alpha)
+        yield Subgroup(n, "H", alpha)
+        if (n // alpha) % 2 == 0:
+            yield Subgroup(n, "K", alpha)
+
+
+def test_quotient_genus_matches_the_coset_walk():
+    cases = [gs for n in range(3, 13) for gs in enumerate_realizable_geosigs(n, 10)]
+    cases += [
+        GeometricSignature(200, 0, 2, 0, (200, 200)),
+        GeometricSignature(201, 0, 2, 0, (3, 67)),
+        GeometricSignature(240, 0, 2, 2, (2,)),
+    ]
+    for gs in cases:
+        for H in _subgroup_classes(gs.n):
+            assert quotient_genus(gs, H) == _coset_walk_genus(gs, H), (gs, H)
 
 
 def test_quotient_dimension_matches_quotient_genus():
