@@ -18,12 +18,10 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from pathlib import Path
 
 from .correspondence import AnalyticCharacter, analytic_from_geosig, geosig_from_analytic
-from .errors import DihedraError, InvalidArgumentError
+from .errors import BudgetExceededError, DihedraError, InvalidArgumentError
 from .group import parse_subgroup
 from .jacobian import (
     ClassificationRow,
@@ -112,63 +110,35 @@ def _cmd_genvec(args) -> int:
     return 0
 
 
-def _oracle_shard(
-    n: int,
-    gamma: int,
-    periods: tuple[int, ...],
-    jobs: int,
-    max_group_order: int,
-    max_tuple_length: int,
-    shard: int,
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    scan_skes(
-        n,
-        PlainSignature(gamma, periods),
-        lambda hyp, ell: out.append((hyp, ell)) and False,
-        max_group_order=max_group_order,
-        max_tuple_length=max_tuple_length,
-        first_unit_filter=lambda x: x % jobs == shard,
-    )
-    return out
-
-
 def _cmd_oracle(args) -> int:
+    """Print each ske as the scan finds it, so memory stays flat; human mode
+    runs one counting scan first for its header."""
     sig = parse_plain_signature(args.signature)
     n = args.n
-    # the shards' output is merged into canonical order, so clamping changes
-    # nothing but the number of worker processes
-    jobs = min(args.jobs, os.cpu_count() or 1)
-    if jobs <= 1:
-        records = enumerate_skes(
+
+    def scan(on_leaf) -> None:
+        scan_skes(
             n,
             sig,
+            on_leaf,
             max_group_order=args.max_group_order,
             max_tuple_length=args.max_tuple_length,
         )
-    else:
-        worker = partial(
-            _oracle_shard,
-            n,
-            sig.gamma,
-            sig.periods,
-            jobs,
-            args.max_group_order,
-            args.max_tuple_length,
-        )
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            shards = list(pool.map(worker, range(jobs)))
-        leaves = sorted(
-            (hyp + ell, hyp, ell) for shard in shards for hyp, ell in shard
-        )
-        records = [record_from_ids(n, sig.gamma, hyp, ell) for _, hyp, ell in leaves]
-    if args.json:
-        for rec in records:
-            print(canonical_json(rec.to_json_dict()))
-    else:
-        print(f"{len(records)} skes for D{n} {sig}")
-        for rec in records:
-            print(str(rec.vector))
+
+    def emit(hyp, ell):
+        rec = record_from_ids(n, sig.gamma, hyp, ell)
+        print(canonical_json(rec.to_json_dict()) if args.json else str(rec.vector))
+
+    if not args.json:
+        count = 0
+
+        def tally(hyp, ell):
+            nonlocal count
+            count += 1
+
+        scan(tally)
+        print(f"{count} skes for D{n} {sig}")
+    scan(emit)
     return 0
 
 
@@ -328,6 +298,13 @@ def _selftest_oracle_corpus(max_n: int) -> tuple[int, int]:
 
 
 def _cmd_selftest(args) -> int:
+    # refused before any section runs, not after the whole corpus up to the
+    # budget has been scanned
+    if 2 * args.oracle_max_n > DEFAULT_MAX_GROUP_ORDER:
+        raise BudgetExceededError(
+            f"group order 2n = {2 * args.oracle_max_n} exceeds budget "
+            f"{DEFAULT_MAX_GROUP_ORDER}"
+        )
     golden = Path(args.golden_dir) if args.golden_dir else _default_golden_dir()
     if not golden.is_dir():
         raise DihedraError(
@@ -436,7 +413,6 @@ def build_parser() -> _Parser:
     )
     p.add_argument("n", type=int)
     p.add_argument("signature", help='plain signature, e.g. "(0; 2, 2, 3, 3)"')
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--max-group-order", type=int, default=DEFAULT_MAX_GROUP_ORDER)
     p.add_argument("--max-tuple-length", type=int, default=DEFAULT_MAX_TUPLE_LENGTH)
     p.set_defaults(func=_cmd_oracle)
@@ -522,6 +498,12 @@ def main(argv=None) -> int:
     except DihedraError as exc:
         print(canonical_json({"error": exc.reason, "message": str(exc)}))
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early (`dihedra oracle ... | head`): stop
+        # the search quietly; stdout goes to devnull so the exit flush
+        # cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

@@ -247,14 +247,10 @@ def scan_skes(
     *,
     max_group_order: int = DEFAULT_MAX_GROUP_ORDER,
     max_tuple_length: int = DEFAULT_MAX_TUPLE_LENGTH,
-    first_unit_filter=None,
 ) -> bool:
     """Run on_leaf(hyp_ids, ell_ids) for every ske, in lexicographic order of
     the integer-encoded tuple.  A truthy return from on_leaf stops the scan;
     returns True iff stopped early.
-
-    first_unit_filter, when given, restricts the first choice (alpha_1, or
-    c_1 when gamma = 0) to ids accepted by the predicate; used for sharding.
     """
     _check_n(n)
     _check_budget(n, sig, max_group_order, max_tuple_length)
@@ -262,7 +258,6 @@ def scan_skes(
     M, inv, order, by_order, solutions = _tables(n)
     interner = _interner(n)
     extend, whole = interner.extend, interner.whole
-    size = 2 * n
     v = len(periods)
     if gamma == 0 and v == 0:
         return False
@@ -270,11 +265,7 @@ def scan_skes(
     if any(not c for c in candidates):
         return False
 
-    all_ids = list(range(size))
-    first_ids = (
-        all_ids if first_unit_filter is None else
-        [x for x in all_ids if first_unit_filter(x)]
-    )
+    all_ids = list(range(2 * n))
 
     # units: gamma commutator pairs, then v elliptic slots; the final slot is
     # solved from the running product instead of searched
@@ -282,11 +273,10 @@ def scan_skes(
 
     def pair_unit(k: int, prefix: int, sub: int, chosen: tuple[int, ...]):
         nonlocal stop
-        a_iter = first_ids if k == 0 else all_ids
         last_pair = k == gamma - 1 and v == 0
         if last_pair:
             need = inv[prefix]
-            for a in a_iter:
+            for a in all_ids:
                 if stop:
                     return
                 sols = solutions[a].get(need)
@@ -300,7 +290,7 @@ def scan_skes(
                             stop = True
                             return
             return
-        for a in a_iter:
+        for a in all_ids:
             if stop:
                 return
             sub_a = extend(sub, a)
@@ -317,26 +307,18 @@ def scan_skes(
                 if stop:
                     return
 
-    first_set = set(first_ids)
-
     def elliptic_unit(
         j: int, prefix: int, sub: int,
         hyp: tuple[int, ...], ell: tuple[int, ...],
     ):
         nonlocal stop
-        filtered = j == 0 and gamma == 0
         if j == v - 1:
             c = inv[prefix]
-            if filtered and c not in first_set:
-                return
             if order[c] == periods[j] and extend(sub, c) == whole:
                 if on_leaf(hyp, ell + (c,)):
                     stop = True
             return
-        cand = candidates[j]
-        if filtered:
-            cand = [c for c in cand if c in first_set]
-        for c in cand:
+        for c in candidates[j]:
             if stop:
                 return
             elliptic_unit(j + 1, M[prefix][c], extend(sub, c), hyp, ell + (c,))
@@ -366,7 +348,6 @@ def enumerate_skes(
     *,
     max_group_order: int = DEFAULT_MAX_GROUP_ORDER,
     max_tuple_length: int = DEFAULT_MAX_TUPLE_LENGTH,
-    first_unit_filter=None,
 ) -> list[SkeRecord]:
     """All skes for (D_n, sig) as records, in canonical lexicographic order."""
     records: list[SkeRecord] = []
@@ -381,7 +362,6 @@ def enumerate_skes(
         collect,
         max_group_order=max_group_order,
         max_tuple_length=max_tuple_length,
-        first_unit_filter=first_unit_filter,
     )
     return records
 

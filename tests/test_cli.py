@@ -1,4 +1,9 @@
+import argparse
+import contextlib
+import io
+import itertools
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -8,7 +13,7 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from dihedra.cli import canonical_json, main
+from dihedra.cli import build_parser, canonical_json, main
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -88,42 +93,40 @@ def test_oracle_json_matches_golden(capsys):
     )
 
 
-def test_oracle_jobs_deterministic(capsys):
-    _, serial, _ = run(capsys, "oracle", "3", "(0; 2,2,3,3)", "--json")
-    code, parallel, _ = run(
-        capsys, "oracle", "3", "(0; 2,2,3,3)", "--json", "--jobs", "3"
-    )
-    assert code == 0 and parallel == serial
-
-
-def test_oracle_jobs_clamped_to_cpu_count(capsys, monkeypatch):
-    """--jobs beyond the core count runs os.cpu_count() shards; an
-    in-process executor stands in for the pool, so no process starts."""
+def test_oracle_streams_each_record_before_building_the_next(monkeypatch):
+    """Record k+1 is built only after line k is printed, in both modes, so
+    memory does not grow with the number of skes."""
     import dihedra.cli as cli
 
-    workers = []
+    build = cli.record_from_ids
+    for argv, header in (
+        (["oracle", "3", "(0; 2,2,3,3)", "--json"], 0),
+        (["oracle", "3", "(0; 2,2,3,3)"], 1),
+    ):
+        out = io.StringIO()
+        lines_at_build = []
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
+        def logged(*args):
+            lines_at_build.append(out.getvalue().count("\n"))
+            return build(*args)
 
-        def __enter__(self):
-            return self
+        monkeypatch.setattr(cli, "record_from_ids", logged)
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        assert lines_at_build == [header + k for k in range(12)]
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    _, serial, _ = run(capsys, "oracle", "3", "(0; 2,2,3,3)", "--json")
-    code, clamped, _ = run(
-        capsys, "oracle", "3", "(0; 2,2,3,3)", "--json", "--jobs", "1000000"
-    )
-    assert code == 0 and clamped == serial
-    assert workers == [2]
+def test_oracle_stops_quietly_when_the_reader_closes_stdout():
+    with subprocess.Popen(
+        [sys.executable, "-m", "dihedra", "oracle", "6", "(0; 2,2,2,2,2)", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        # 960 records, far more than a pipe buffer holds
+        assert proc.stdout.readline().startswith(b'{"analytic":')
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
 
 
 def test_decompose(capsys):
@@ -251,6 +254,7 @@ def test_usage_errors(capsys):
         ["prym", "D3(0; 2^2, 3^2)", "H(1)"],
         ["prym", "D3(0; 2^2, 3^2)", "H(1)", "C(1)", "--component", "3"],
         ["classify", "kdec", "5", "2"],
+        ["oracle", "3", "(0; 2,2,3,3)", "--jobs", "2"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
@@ -270,6 +274,12 @@ def test_domain_errors_are_canonical_json(capsys):
     assert code == 2 and json.loads(out)["error"] == "syntax"
     code, out, _ = run(capsys, "oracle", "13", "(0; 13, 13)")
     assert code == 2 and json.loads(out)["error"] == "budget"
+    # refused before the first section, so stdout holds only the error line
+    assert run(capsys, "selftest", "--oracle-max-n", "13") == (
+        2,
+        '{"error":"budget","message":"group order 2n = 26 exceeds budget 24"}\n',
+        "",
+    )
     code, out, _ = run(capsys, "prym", "D10(2; -)", "--component", "5")
     assert code == 2 and json.loads(out)["error"] == "unsupported-scope"
     for n, sig in (("0", "(0; 2, 2)"), ("1", "(0; 2, 2)"), ("-4", "(0; 3, 3)")):
@@ -332,6 +342,40 @@ def test_golden_files_validate(registry):
     ):
         for line in (GOLDEN / filename).read_text().splitlines():
             _validate(registry, schema_name, json.loads(line))
+
+
+# ---------------------------------------------------------------------------
+# docs
+
+
+def _leaf_parsers(parser, path=()):
+    """(verb path, parser) for every parser that runs a verb."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaf_parsers(child, path + (name,))
+
+
+def test_docs_headings_match_the_parser():
+    """Each "### `verb ...`" heading of docs/cli.md names exactly the
+    --options of that verb's parser, and every verb has a heading."""
+    documented: dict[tuple[str, ...], set[str]] = {}
+    text = (ROOT / "docs" / "cli.md").read_text()
+    for usage in re.findall(r"^### `([^`]*)`", text, flags=re.M):
+        path = tuple(itertools.takewhile(str.isalpha, usage.split()))
+        documented.setdefault(path, set()).update(re.findall(r"--[a-z-]+", usage))
+    actual = {
+        path: {
+            opt
+            for action in leaf._actions
+            for opt in action.option_strings
+            if opt not in ("-h", "--help")
+        }
+        for path, leaf in _leaf_parsers(build_parser())
+    }
+    assert documented == actual
 
 
 # ---------------------------------------------------------------------------

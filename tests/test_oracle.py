@@ -188,24 +188,7 @@ def test_record_json_shape():
 
 
 # ---------------------------------------------------------------------------
-# scan control: sharding, early stop, budgets
-
-
-def test_first_unit_filter_shards_the_enumeration():
-    for n, sig in ((3, PlainSignature(0, (2, 2, 3, 3))), (4, PlainSignature(1, (2,)))):
-        full = enumerate_skes(n, sig)
-        shards = [
-            enumerate_skes(n, sig, first_unit_filter=lambda x, k=k: x % 3 == k)
-            for k in range(3)
-        ]
-        assert sorted(
-            (rec for shard in shards for rec in shard),
-            key=lambda rec: str(rec.vector),
-        ) == sorted(full, key=lambda rec: str(rec.vector))
-        for k, shard in enumerate(shards):
-            for rec in shard:
-                first = (rec.vector.hyperbolic or rec.vector.elliptic)[0]
-                assert element_index(first) % 3 == k
+# scan control: early stop, budgets
 
 
 def test_scan_stops_on_truthy_leaf():
