@@ -340,13 +340,16 @@ def classify_k_decompositions(
     n: int, k: int, genus_bound: int
 ) -> list[ClassificationRow]:
     """Realizable signatures with genus <= genus_bound whose Jacobian splits
-    into factors all of dimension exactly k >= 2."""
+    into factors all of dimension exactly k >= 2.
+
+    The search stops at genus 1 + 2nk/phi(n): dim B(n) = (phi(n)/2) nu_1 = k
+    fixes nu_1 = 2(gamma - 1) + t/2 + v, and genus = 1 + n nu_1 - sum n/m_j."""
     if not isinstance(n, int) or n < 3:
         raise InvalidArgumentError(f"n must be an integer >= 3, got {n!r}")
     if not isinstance(k, int) or k < 2:
         raise InvalidArgumentError(f"k must be an integer >= 2, got {k!r}")
-    # B(n) is active for every action of genus >= 2, so k must be a
-    # multiple of its orbit size phi(n)/2
+    # B(n) is active at genus >= 2 with dimension (phi(n)/2) nu_1, nu_1 >= 1:
+    # k must be a multiple of phi(n)/2, and nu_1 = 2k/phi(n) caps the genus
     if k % (euler_phi(n) // 2) != 0:
         return []
-    return _classify(n, k, genus_bound)
+    return _classify(n, k, min(genus_bound, 1 + 2 * n * k // euler_phi(n)))

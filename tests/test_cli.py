@@ -205,6 +205,28 @@ def test_classify_kdec(capsys):
     assert code == 0 and out.splitlines() == golden
 
 
+def test_classify_kdec_search_stops_at_the_a_priori_genus(capsys, monkeypatch):
+    """A k-decomposition for D_n has genus <= 1 + 2nk/phi(n), so a huge
+    --genus-bound never reaches the enumerator."""
+    import dihedra.jacobian as jacobian
+
+    enumerate_geosigs = jacobian.enumerate_realizable_geosigs
+    n, k = 10, 2
+    cap = 1 + 2 * n * k // 4  # phi(10) = 4
+
+    def capped(n_, bound, **kwargs):
+        if bound > cap:
+            raise AssertionError(f"enumerated D{n_} up to genus {bound} > {cap}")
+        return enumerate_geosigs(n_, bound, **kwargs)
+
+    monkeypatch.setattr(jacobian, "enumerate_realizable_geosigs", capped)
+    argv = ["classify", "kdec", str(n), str(k), "--json", "--genus-bound"]
+    code, huge, _ = run(capsys, *argv, "1000000")
+    assert code == 0
+    assert huge.splitlines() == run(capsys, *argv, "12")[1].splitlines()
+    assert len(huge.splitlines()) == 2
+
+
 # ---------------------------------------------------------------------------
 # selftest
 

@@ -19,6 +19,7 @@ from dihedra import (
     component_dimensions,
     divisors,
     enumerate_realizable_geosigs,
+    euler_phi,
     full_decomposition,
     is_prym_affordable_group,
     L_function,
@@ -338,7 +339,7 @@ def test_affordable_groups_are_the_prime_powers():
 
 
 def test_complete_classification_counts():
-    assert [len(classify_complete(n)) for n in range(3, 9)] == [4, 9, 0, 14, 0, 0]
+    assert [len(classify_complete(n)) for n in range(2, 9)] == [8, 4, 9, 0, 14, 0, 0]
 
 
 def test_complete_classification_rows_are_sound():
@@ -364,13 +365,52 @@ def test_complete_classification_first_row():
 
 
 def test_k_decompositions_for_d5():
-    rows = classify_k_decompositions(5, 2, 12)
-    assert [(r.genus, str(r.gs), str(r.decomposition)) for r in rows] == [
-        (4, "D5(0; 2^2, 5^2)", "B(5)^2"),
-        (6, "D5(0; 2^6)", "B2 x B(5)^2"),
-    ]
-    for row in rows:
-        assert all(f.dim == 2 for f in row.decomposition.factors)
+    # D5(0; 2^6) sits exactly at the a-priori genus 1 + 2nk/phi(n) = 6
+    assert 1 + 2 * 5 * 2 // euler_phi(5) == 6
+    for bound in (12, 10**6):
+        rows = classify_k_decompositions(5, 2, bound)
+        assert [(r.genus, str(r.gs), str(r.decomposition)) for r in rows] == [
+            (4, "D5(0; 2^2, 5^2)", "B(5)^2"),
+            (6, "D5(0; 2^6)", "B2 x B(5)^2"),
+        ]
+        for row in rows:
+            assert all(f.dim == 2 for f in row.decomposition.factors)
+
+
+def test_k_decompositions_match_the_uncapped_search():
+    # reference: decompose every realizable signature up to the bound, with
+    # no a-priori genus cap
+    for n in range(3, 25):
+        bound = 30 + n % 11
+        decs = [
+            (gs, full_decomposition(gs))
+            for gs in enumerate_realizable_geosigs(n, bound)
+        ]
+        for k in range(2, 9):
+            expected = [
+                (gs.genus(), gs, dec)
+                for gs, dec in decs
+                if all(f.dim == k for f in dec.factors)
+            ]
+            rows = classify_k_decompositions(n, k, bound)
+            assert [(r.genus, r.gs, r.decomposition) for r in rows] == expected, (
+                n, k, bound,
+            )
+
+
+def test_b_n_dimension_and_genus_are_fixed_by_nu_1():
+    # the identities behind the a-priori genus of classify_k_decompositions:
+    # nu_1 = 2(gamma - 1) + t/2 + v >= 1, dim B(n) = (phi(n)/2) nu_1 and
+    # genus = 1 + n nu_1 - sum_j n/m_j
+    for n in range(3, 13):
+        for gs in enumerate_realizable_geosigs(n, 16):
+            half_t, odd = divmod(gs.t, 2)
+            assert odd == 0, gs
+            nu_1 = 2 * (gs.gamma - 1) + half_t + len(gs.periods)
+            assert nu_1 >= 1, gs
+            dims = component_dimensions(gs)
+            assert dims[f"B({n})"] == euler_phi(n) // 2 * nu_1, gs
+            assert gs.genus() == 1 + n * nu_1 - sum(n // m for m in gs.periods), gs
 
 
 def test_k_decompositions_orbit_size_shortcut():
