@@ -44,13 +44,13 @@ from .group import (
     parse_subgroup,
     rational_irrep_of_divisor,
     rho_index_bound,
+    subgroup_classes,
     subgroup_from_elements,
 )
 from .jacobian import (
     ClassificationRow,
     Factor,
     IsogenyDecomposition,
-    L_function,
     PrymRealization,
     classify_complete,
     classify_k_decompositions,

@@ -24,7 +24,6 @@ from .correspondence import AnalyticCharacter, analytic_from_geosig, geosig_from
 from .errors import BudgetExceededError, DihedraError, InvalidArgumentError
 from .group import parse_subgroup
 from .jacobian import (
-    ClassificationRow,
     classify_complete,
     classify_k_decompositions,
     full_decomposition,
@@ -217,26 +216,16 @@ def _cmd_affordable(args) -> int:
     return 0
 
 
-def _emit_classification(rows: list[dict], as_json: bool) -> None:
-    for row in rows:
-        if as_json:
-            print(canonical_json(row))
-        else:
-            gs = GeometricSignature.from_json_dict(row["geosig"])
-            factors = []
-            for f in row["decomposition"]["factors"]:
-                label = f"B({f['q']})" if f["kind"] == "Bq" else f["kind"]
-                label = "J(S/G)" if f["kind"] == "J" else label
-                factors.append(label if f["mult"] == 1 else f"{label}^{f['mult']}")
-            print(f"g={row['genus']}  {gs}  ~  {' x '.join(factors)}")
-
-
 def _cmd_classify(args) -> int:
     if args.mode == "complete":
         rows = classify_complete(args.n)
     else:
         rows = classify_k_decompositions(args.n, args.k, args.genus_bound)
-    _emit_classification([row.to_json_dict() for row in rows], args.json)
+    for row in rows:
+        if args.json:
+            print(canonical_json(row.to_json_dict()))
+        else:
+            print(f"g={row.genus}  {row.gs}  ~  {row.decomposition}")
     return 0
 
 

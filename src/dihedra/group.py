@@ -252,6 +252,17 @@ class Subgroup:
         return f"{self.family}({self.alpha})"
 
 
+def subgroup_classes(n: int):
+    """Every subgroup of D_n up to conjugacy, for alpha | n ascending: C(alpha),
+    H(alpha), and K(alpha) when n/alpha is even (else it is conjugate to
+    H(alpha))."""
+    for alpha in divisors(n):
+        yield Subgroup(n, "C", alpha)
+        yield Subgroup(n, "H", alpha)
+        if (n // alpha) % 2 == 0:
+            yield Subgroup(n, "K", alpha)
+
+
 _SUBGROUP_RE = re.compile(r"^\s*([HKC])\s*\(\s*(\d+)\s*\)\s*$")
 
 

@@ -11,13 +11,12 @@ intermediate covers are fixed-subspace dimensions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .correspondence import analytic_from_geosig
 from .divisors import divisors, euler_phi, prime_factors
-from .errors import InvalidArgumentError, UnsupportedScopeError
-from .group import Irrep, Subgroup, element_index, fixed_dim, index_mul
+from .errors import InvalidArgumentError
+from .group import Irrep, Subgroup, element_index, fixed_dim, index_mul, subgroup_classes
 from .realizability import enumerate_realizable_geosigs, require_realizable
 from .signatures import GeometricSignature
 
@@ -218,14 +217,6 @@ def quotient_genus(
 # Prym realization of single factors
 
 
-def L_function(Q, q: int) -> int:
-    """lcm of the proper divisors of q inside Q (1 when there are none)."""
-    if not isinstance(q, int) or q < 1:
-        raise InvalidArgumentError(f"q must be a positive integer, got {q!r}")
-    parts = [t for t in Q if t != q and q % t == 0]
-    return math.lcm(*parts) if parts else 1
-
-
 def q_theta(gs: GeometricSignature, *, allow_low_genus: bool = False) -> tuple[int, ...]:
     """Divisors q >= 3 of n whose factor B(q) has positive dimension."""
     return tuple(
@@ -248,38 +239,37 @@ def prym_realization(
     gs: GeometricSignature, q: int, *, allow_low_genus: bool = False
 ) -> PrymRealization | None:
     """A pair of nested subgroups whose Prym variety is exactly B(q), or
-    None when no intermediate cover isolates it (odd n criterion: the lcm of
-    the smaller active divisors of q equals q).
+    None when no intermediate cover isolates it.
 
-    Supported for odd n and for n a power of two.
+    Prym multiplicities are differences of fixed dimensions, which are class
+    functions, so searching the nested pairs of subgroup classes is
+    exhaustive.  sub runs by decreasing order; for each sub, sup runs over
+    the double covers S/sub -> S/sup first, then the whole group, then the
+    rest by increasing order.
     """
-    n = gs.n
-    Q = q_theta(gs, allow_low_genus=allow_low_genus)
-    if q not in Q:
+    active = [
+        (kind == "Bq" and fq == q, irrep)
+        for kind, fq, dim, irrep in _factors(gs, allow_low_genus)
+        if dim > 0
+    ]
+    if not any(is_q for is_q, _ in active):
         raise InvalidArgumentError(f"B({q}) is not an active factor of {gs}")
-    if n % 2 == 1:
-        L = L_function(Q, q)
-        if L == q:
-            return None
-        witness = PrymRealization(q, Subgroup(n, "H", n // q), Subgroup(n, "H", n // L))
-    elif n & (n - 1) == 0:
-        witness = PrymRealization(
-            q, Subgroup(n, "H", n // q), Subgroup(n, "H", 2 * n // q)
-        )
-    else:
-        raise UnsupportedScopeError(
-            f"prym realization is implemented for odd n and powers of two, "
-            f"not n = {n}"
-        )
-    prym = prym_decomposition(
-        gs, witness.sub, witness.sup, allow_low_genus=allow_low_genus
-    )
-    expected = tuple(
-        f for f in prym.factors if f.kind == "Bq" and f.q == q and f.mult == 1
-    )
-    if prym.factors != expected:
-        raise AssertionError(f"witness for B({q}) of {gs} decomposes as {prym}")
-    return witness
+    classes = list(subgroup_classes(gs.n))
+    for sub in sorted(classes, key=lambda H: H.order, reverse=True):
+        for sup in sorted(
+            classes,
+            key=lambda K: (K.order != 2 * sub.order, not K.is_whole_group, K.order),
+        ):
+            if (
+                sup.order > sub.order
+                and sup.contains_subgroup(sub)
+                and all(
+                    fixed_dim(irrep, sub) - fixed_dim(irrep, sup) == is_q
+                    for is_q, irrep in active
+                )
+            ):
+                return PrymRealization(q, sub, sup)
+    return None
 
 
 def is_prym_affordable_group(n: int) -> bool:

@@ -64,7 +64,11 @@ from dihedra.realizability import (
     is_analytic_representation,
     is_realizable,
 )
-from dihedra.signatures import GeometricSignature, PlainSignature
+from dihedra.signatures import (
+    GeometricSignature,
+    PlainSignature,
+    parse_geometric_signature,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -347,9 +351,56 @@ def _is_prime_power(n: int) -> bool:
     return n > 1
 
 
+# for every n <= 60 that is not a prime power: the first realizable signature
+# in genus order with an active B(q) that no intermediate cover isolates
+_UNAFFORDABLE_FIRST = {
+    6: "D6(0; s, sr, 2, 6^2)", 10: "D10(0; s, sr, 2, 10^2)",
+    12: "D12(0; s, sr, 4, 6)", 14: "D14(0; s, sr, 2, 14^2)",
+    15: "D15(0; 2^2, 15^2)", 18: "D18(0; s, sr, 6, 9)",
+    20: "D20(0; s, sr, 4, 10)", 21: "D21(0; 2^2, 21^2)",
+    22: "D22(0; s, sr, 2, 22^2)", 24: "D24(0; s, sr, 4, 24)",
+    26: "D26(0; s, sr, 2, 26^2)", 28: "D28(0; s, sr, 4, 14)",
+    30: "D30(0; s, sr, 2, 15)", 33: "D33(0; 2^2, 33^2)",
+    34: "D34(0; s, sr, 2, 34^2)", 35: "D35(0; 2^2, 35^2)",
+    36: "D36(0; s, sr, 4, 9)", 38: "D38(0; s, sr, 2, 38^2)",
+    39: "D39(0; 2^2, 39^2)", 40: "D40(0; s, sr, 4, 40)",
+    42: "D42(0; s, sr, 2, 21)", 44: "D44(0; s, sr, 4, 22)",
+    45: "D45(0; 2^2, 9, 15)", 46: "D46(0; s, sr, 2, 46^2)",
+    48: "D48(0; s, sr, 4, 48)", 50: "D50(0; s, sr, 10, 25)",
+    51: "D51(0; 2^2, 51^2)", 52: "D52(0; s, sr, 4, 26)",
+    54: "D54(0; s, sr, 6, 27)", 55: "D55(0; 2^2, 55^2)",
+    56: "D56(0; s, sr, 4, 56)", 57: "D57(0; 2^2, 57^2)",
+    58: "D58(0; s, sr, 2, 58^2)", 60: "D60(0; s, sr, 2, 60)",
+}
+
+
+def _has_unrealized_factor(gs) -> bool:
+    return any(prym_realization(gs, q) is None for q in q_theta(gs))
+
+
 def test_07_prym_affordability():
     for n in range(3, 201):
         assert bool(is_prym_affordable_group(n)) == _is_prime_power(n), n
+
+    # the theorem checked directly by the witness search, n <= 60
+    assert sorted(_UNAFFORDABLE_FIRST) == [
+        n for n in range(3, 61) if not _is_prime_power(n)
+    ]
+    for n, text in _UNAFFORDABLE_FIRST.items():
+        genus = parse_geometric_signature(text).genus()
+        assert genus <= 4 * n, text
+        first = next(
+            gs for gs in enumerate_realizable_geosigs(n, genus)
+            if _has_unrealized_factor(gs)
+        )
+        assert str(first) == text, (n, str(first))
+    checks = 0
+    for n in range(3, 61):
+        if not _is_prime_power(n):
+            continue
+        for gs in enumerate_realizable_geosigs(n, 40):
+            assert not _has_unrealized_factor(gs), gs
+            checks += len(q_theta(gs))
 
     gs = GeometricSignature(45, 0, 2, 0, (5, 9))
     assert gs.genus() == 32
@@ -364,8 +415,11 @@ def test_07_prym_affordability():
     assert (str(w15.sub), str(w15.sup)) == ("H(3)", "H(45)")
     w45 = prym_realization(gs, 45)
     assert (str(w45.sub), str(w45.sup)) == ("H(1)", "H(3)")
-    _report(7, "affordable groups = prime powers up to 200; D45 worked "
-               "example reproduced with both Prym witnesses")
+    _report(7, "affordable groups = prime powers up to 200; the witness "
+               f"search fails on {len(_UNAFFORDABLE_FIRST)} pinned signatures "
+               f"and isolates all {checks} active factors of prime-power n <= 60 "
+               "up to genus 40; D45 worked example reproduced with both Prym "
+               "witnesses")
 
 
 def _moebius_local(m: int) -> int:

@@ -170,6 +170,16 @@ def test_prym_component(capsys):
     assert out == "B(15) is not the Prym variety of any intermediate cover\n"
     code, out, _ = run(capsys, "prym", "D15(2;)", "--component", "15", "--json")
     assert out == '{"q":15,"witness":null}\n'
+    # even n that is not a power of two is searched like any other n
+    assert run(capsys, "prym", "D10(2; -)", "--component", "5") == (
+        0, "B(5) ~ P(S/H(2) -> S/H(10))\n", "",
+    )
+    assert run(capsys, "prym", "D10(2; -)", "--component", "5", "--json") == (
+        0, '{"q":5,"witness":{"sub":"H(2)","sup":"H(10)"}}\n', "",
+    )
+    assert run(capsys, "prym", "D12(2; -)", "--component", "12", "--json") == (
+        0, '{"q":12,"witness":null}\n', "",
+    )
 
 
 def test_affordable(capsys):
@@ -302,8 +312,6 @@ def test_domain_errors_are_canonical_json(capsys):
         '{"error":"budget","message":"group order 2n = 26 exceeds budget 24"}\n',
         "",
     )
-    code, out, _ = run(capsys, "prym", "D10(2; -)", "--component", "5")
-    assert code == 2 and json.loads(out)["error"] == "unsupported-scope"
     for n, sig in (("0", "(0; 2, 2)"), ("1", "(0; 2, 2)"), ("-4", "(0; 3, 3)")):
         assert run(capsys, "oracle", n, sig) == (
             2,
@@ -341,6 +349,8 @@ def test_json_outputs_validate(capsys, registry):
         (["prym", "D45(0; 2^2, 5, 9)", "--component", "45", "--json"],
          "prym_witness.v1.json"),
         (["prym", "D15(2; -)", "--component", "15", "--json"],
+         "prym_witness.v1.json"),
+        (["prym", "D12(2; -)", "--component", "12", "--json"],
          "prym_witness.v1.json"),
         (["affordable", "45", "--json"], "affordable.v1.json"),
         (["classify", "complete", "4", "--json"], "classification_row.v1.json"),

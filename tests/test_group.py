@@ -20,6 +20,7 @@ from dihedra import (
     parse_subgroup,
     rational_irrep_of_divisor,
     rho_index_bound,
+    subgroup_classes,
     subgroup_from_elements,
 )
 from dihedra.group import (
@@ -158,6 +159,12 @@ def test_subgroup_normal_form(n):
         # form picks the H representative in that case
         expected = H if (n // alpha) % 2 == 1 else K
         assert subgroup_from_elements(n, K.elements()) == expected
+    # subgroup_classes lists each normal form exactly once
+    classes = list(subgroup_classes(n))
+    assert len(set(classes)) == len(classes)
+    assert set(classes) == {
+        subgroup_from_elements(n, S.elements()) for S in _canonical_subgroups(n)
+    }
 
 
 def test_normal_form_is_conjugacy_invariant():

@@ -1,8 +1,6 @@
 import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from dihedra import (
     DihedralElement,
@@ -12,7 +10,6 @@ from dihedra import (
     IsogenyDecomposition,
     NotRealizableError,
     Subgroup,
-    UnsupportedScopeError,
     all_elements,
     classify_complete,
     classify_k_decompositions,
@@ -22,12 +19,13 @@ from dihedra import (
     euler_phi,
     full_decomposition,
     is_prym_affordable_group,
-    L_function,
+    parse_geometric_signature,
     prym_decomposition,
     prym_realization,
     q_theta,
     quotient_decomposition,
     quotient_genus,
+    subgroup_classes,
 )
 
 S3 = GeometricSignature(3, 0, 2, 0, (3, 3))
@@ -145,14 +143,6 @@ def _coset_walk_genus(gs, H):
     return (total + 2) // 2
 
 
-def _subgroup_classes(n):
-    for alpha in divisors(n):
-        yield Subgroup(n, "C", alpha)
-        yield Subgroup(n, "H", alpha)
-        if (n // alpha) % 2 == 0:
-            yield Subgroup(n, "K", alpha)
-
-
 def test_quotient_genus_matches_the_coset_walk():
     cases = [gs for n in range(3, 13) for gs in enumerate_realizable_geosigs(n, 10)]
     cases += [
@@ -161,7 +151,7 @@ def test_quotient_genus_matches_the_coset_walk():
         GeometricSignature(240, 0, 2, 2, (2,)),
     ]
     for gs in cases:
-        for H in _subgroup_classes(gs.n):
+        for H in subgroup_classes(gs.n):
             assert quotient_genus(gs, H) == _coset_walk_genus(gs, H), (gs, H)
 
 
@@ -250,39 +240,7 @@ def test_unrealizable_signatures_are_rejected():
 
 
 # ---------------------------------------------------------------------------
-# the L function and Prym affordability
-
-
-def test_l_function_known_values():
-    assert L_function((15, 45), 15) == 1
-    assert L_function((15, 45), 45) == 15
-    assert L_function((3, 5, 15), 15) == 15
-    assert L_function((4,), 8) == 4
-    assert L_function((), 12) == 1
-    with pytest.raises(InvalidArgumentError):
-        L_function((3,), 0)
-    with pytest.raises(InvalidArgumentError):
-        L_function((3,), "3")
-
-
-@given(st.data())
-def test_l_function_properties(data):
-    n = data.draw(st.integers(min_value=2, max_value=1000))
-    universe = divisors(n)
-    Q = tuple(data.draw(st.sets(st.sampled_from(universe))))
-    q = data.draw(st.sampled_from(universe))
-    L = L_function(Q, q)
-    proper = [t for t in Q if t != q and q % t == 0]
-    assert q % L == 0
-    assert all(L % t == 0 for t in proper)
-    assert (L == 1) == (max(proper, default=1) == 1)
-    d = data.draw(st.sampled_from(universe))
-    extended = L_function(Q + (d,), q)
-    assert extended % L == 0
-    if d != q and q % d == 0:
-        assert extended == math.lcm(L, d)
-    else:
-        assert extended == L
+# Prym witnesses and affordability
 
 
 def test_prym_realization_chains():
@@ -312,13 +270,60 @@ def test_prym_realization_can_be_impossible():
     assert prym_realization(gs15, 5) is not None
 
 
+def _witness(gs, q):
+    w = prym_realization(gs, q)
+    return None if w is None else (str(w.sub), str(w.sup))
+
+
 def test_prym_realization_scope():
-    gs10 = GeometricSignature(10, 2, 0, 0, ())
-    with pytest.raises(UnsupportedScopeError):
-        prym_realization(gs10, 5)
-    gs12 = GeometricSignature(12, 2, 0, 0, ())
-    with pytest.raises(UnsupportedScopeError):
-        prym_realization(gs12, 12)
+    # the search covers even n that is not a power of two too
+    for text, q, expected in (
+        ("D10(2; -)", 5, ("H(2)", "H(10)")),
+        ("D12(2; -)", 12, None),
+        ("D6(0; s, sr, 2, 3)", 6, ("H(1)", "H(2)")),
+        ("D10(0; s, sr, 5, 10)", 5, ("H(2)", "H(10)")),
+        ("D12(0; s, sr, 3, 4)", 12, ("H(1)", "H(2)")),
+    ):
+        assert _witness(parse_geometric_signature(text), q) == expected, text
+
+
+def _closed_form_witness(gs, q):
+    """Reference: the closed witnesses for odd n (L = lcm of the proper
+    active divisors of q; none when L = q) and for n a power of two (the
+    chain step H(n/q) < H(2n/q))."""
+    n = gs.n
+    if n % 2 == 1:
+        L = math.lcm(*(t for t in q_theta(gs) if t != q and q % t == 0))
+        return None if L == q else (f"H({n // q})", f"H({n // L})")
+    assert n & (n - 1) == 0, n
+    return (f"H({n // q})", f"H({2 * n // q})")
+
+
+def test_prym_search_matches_the_closed_forms():
+    for n in range(3, 41):
+        if n % 2 == 0 and n & (n - 1):
+            continue
+        for gs in enumerate_realizable_geosigs(n, 30):
+            for q in q_theta(gs):
+                assert _witness(gs, q) == _closed_form_witness(gs, q), (gs, q)
+
+
+def test_prym_witnesses_isolate_their_factor():
+    # every witness, for every n: the Prym is exactly one copy of B(q), and
+    # its dimension is the genus drop counted by double cosets
+    for n in range(3, 41):
+        for gs in enumerate_realizable_geosigs(n, 30):
+            dims = component_dimensions(gs)
+            for q in q_theta(gs):
+                w = prym_realization(gs, q)
+                if w is None:
+                    continue
+                dec = prym_decomposition(gs, w.sub, w.sup)
+                assert [str(f) for f in dec.factors] == [f"B({q})"], (gs, q)
+                assert (
+                    quotient_genus(gs, w.sub) - quotient_genus(gs, w.sup)
+                    == dims[f"B({q})"]
+                ), (gs, q)
 
 
 def test_affordable_groups_are_the_prime_powers():
