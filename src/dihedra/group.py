@@ -12,6 +12,7 @@ group.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,8 +90,6 @@ class DihedralElement:
             return 2
         if self.exponent == 0:
             return 1
-        import math
-
         return self.n // math.gcd(self.n, self.exponent)
 
     def __str__(self) -> str:
@@ -353,8 +352,6 @@ class Irrep:
     def eigenvalue_exponents(self, g: DihedralElement) -> tuple[tuple[int, int], ...]:
         """Eigenvalues of the representing matrix at g, as pairs (alpha, m)
         meaning zeta_m^alpha with m = order(g) and 1 <= alpha <= m."""
-        import math
-
         if g.n != self.n:
             raise InvalidArgumentError("element belongs to a different group")
         m = g.order()
@@ -394,8 +391,6 @@ def irreducible_reps(n: int) -> tuple[Irrep, ...]:
 def rational_irrep_of_divisor(n: int, q: int) -> frozenset[Irrep]:
     """Galois orbit {rho^h : gcd(n, h) = n/q} attached to a divisor q >= 3 of
     n; its size is phi(q)/2."""
-    import math
-
     _check_n(n)
     if q < 3 or n % q != 0:
         raise InvalidArgumentError(f"q must be a divisor of n with q >= 3, got {q}")
@@ -453,8 +448,6 @@ def n_function_table(V: Irrep, g: DihedralElement) -> Fraction:
 
 def fixed_dim(V: Irrep, H: Subgroup) -> int:
     """Dimension of the subspace of V fixed by H (closed lemma values)."""
-    import math
-
     if V.n != H.n:
         raise InvalidArgumentError("irrep and subgroup belong to different groups")
     n, alpha = H.n, H.alpha

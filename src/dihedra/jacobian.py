@@ -12,6 +12,7 @@ intermediate covers are fixed-subspace dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .correspondence import analytic_from_geosig
 from .divisors import divisors, euler_phi, prime_factors
@@ -91,12 +92,15 @@ class IsogenyDecomposition:
         }
 
 
+@lru_cache(maxsize=64)
 def _factors(
     gs: GeometricSignature, allow_low_genus: bool
-) -> list[tuple[str, int | None, int, Irrep]]:
+) -> tuple[tuple[str, int | None, int, Irrep], ...]:
     """(kind, q, dim, attached irrep) for every potential factor of a
     realizable gs, zeros included; the irrep drives fixed-dimension
-    multiplicities."""
+    multiplicities.  Memoized for recent signatures: the full, quotient and
+    Prym decompositions of one signature share it, and an unrealizable gs
+    raises on every call."""
     require_realizable(gs, allow_low_genus)
     n, V = gs.n, analytic_from_geosig(gs)
     out: list[tuple[str, int | None, int, Irrep]] = [
@@ -111,7 +115,7 @@ def _factors(
             continue
         dim = (euler_phi(q) // 2) * V.mult_rho(n // q)
         out.append(("Bq", q, dim, Irrep(n, "rho", n // q)))
-    return out
+    return tuple(out)
 
 
 def component_dimensions(
@@ -185,32 +189,40 @@ def quotient_genus(
         raise InvalidArgumentError("subgroup belongs to a different group")
     require_realizable(gs, allow_low_genus)
     n = gs.n
-    h_ids = [element_index(h) for h in H.elements()]
     index = (2 * n) // H.order
     total = index * (2 * gs.gamma - 2)
 
     stabilizers = [(Subgroup(n, "H", 1), gs.a), (Subgroup(n, "K", 1), gs.b)]
     stabilizers += [(Subgroup(n, "C", m), gs.periods.count(m)) for m in set(gs.periods)]
     for sigma, count in stabilizers:
-        if not count:
-            continue
-        s_ids = [element_index(s) for s in sigma.elements()]
-        covered: set[int] = set()
-        cosets = 0
-        for g in range(2 * n):
-            if g in covered:
-                continue
-            cosets += 1
-            for h in h_ids:
-                hg = index_mul(n, h, g)
-                covered.update(index_mul(n, hg, s) for s in s_ids)
-        total += count * (index - cosets)
+        if count:
+            total += count * (index - _double_cosets(H, sigma))
     if total % 2 != 0:
         raise AssertionError(f"odd Euler contribution for {gs} and {H}")
     genus = (total + 2) // 2
     if genus < 0:
         raise AssertionError(f"negative quotient genus for {gs} and {H}")
     return genus
+
+
+@lru_cache(maxsize=1024)
+def _double_cosets(H: Subgroup, sigma: Subgroup) -> int:
+    """#(H\\G/sigma), walked on integer ids.  It depends on the two subgroups
+    only, so the quotients of every signature of D_n share it; one n has at
+    most 3 d(n) (d(n) + 2) such pairs, so the bound holds several n at once."""
+    n = H.n
+    h_ids = [element_index(h) for h in H.elements()]
+    s_ids = [element_index(s) for s in sigma.elements()]
+    covered: set[int] = set()
+    cosets = 0
+    for g in range(2 * n):
+        if g in covered:
+            continue
+        cosets += 1
+        for h in h_ids:
+            hg = index_mul(n, h, g)
+            covered.update(index_mul(n, hg, s) for s in s_ids)
+    return cosets
 
 
 # ---------------------------------------------------------------------------

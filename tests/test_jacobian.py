@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from dihedra import jacobian
 from dihedra import (
     DihedralElement,
     Factor,
@@ -150,9 +151,10 @@ def test_quotient_genus_matches_the_coset_walk():
         GeometricSignature(201, 0, 2, 0, (3, 67)),
         GeometricSignature(240, 0, 2, 2, (2,)),
     ]
-    for gs in cases:
-        for H in subgroup_classes(gs.n):
-            assert quotient_genus(gs, H) == _coset_walk_genus(gs, H), (gs, H)
+    pairs = [(gs, H) for gs in cases for H in subgroup_classes(gs.n)]
+    # the second pass, in reverse order, reads the double-coset memo
+    for gs, H in pairs + pairs[::-1]:
+        assert quotient_genus(gs, H) == _coset_walk_genus(gs, H), (gs, H)
 
 
 def test_quotient_dimension_matches_quotient_genus():
@@ -225,10 +227,13 @@ def test_subgroup_must_match_the_group():
 
 def test_unrealizable_signatures_are_rejected():
     bad = GeometricSignature(5, 0, 0, 0, (5, 5, 5))
-    for call in (
+    # twice: a memo must not turn the second call into a success
+    for call in 2 * (
         lambda: full_decomposition(bad),
         lambda: component_dimensions(bad),
         lambda: quotient_genus(bad, Subgroup(5, "H", 1)),
+        lambda: quotient_decomposition(bad, Subgroup(5, "H", 1)),
+        lambda: prym_decomposition(bad, Subgroup(5, "H", 1), Subgroup(5, "H", 5)),
         lambda: q_theta(bad),
     ):
         with pytest.raises(NotRealizableError):
@@ -237,6 +242,36 @@ def test_unrealizable_signatures_are_rejected():
     with pytest.raises(NotRealizableError):
         full_decomposition(low)
     assert str(full_decomposition(low, allow_low_genus=True)) == "0"
+    # the low-genus answer is kept apart from the gated call
+    for gs in (low, GeometricSignature(3, 0, 4, 0, ())):
+        H = Subgroup(gs.n, "C", 1)
+        assert quotient_decomposition(gs, H, allow_low_genus=True).total_dimension == gs.genus()
+        assert quotient_genus(gs, H, allow_low_genus=True) == gs.genus()
+        with pytest.raises(NotRealizableError):
+            quotient_decomposition(gs, H)
+        with pytest.raises(NotRealizableError):
+            quotient_genus(gs, H)
+
+
+def test_jacobian_memos_are_bounded():
+    for memo in (jacobian._factors, jacobian._double_cosets):
+        assert memo.cache_info().maxsize is not None
+    sigs = [gs for n in range(3, 40) for gs in enumerate_realizable_geosigs(n, 8)]
+    assert len(sigs) > jacobian._factors.cache_info().maxsize
+    for gs in sigs:
+        full_decomposition(gs)
+    keys = [
+        (H, sigma)
+        for n in range(2, 40)
+        for H in subgroup_classes(n)
+        for sigma in subgroup_classes(n)
+    ]
+    assert len(keys) > jacobian._double_cosets.cache_info().maxsize
+    for H, sigma in keys:
+        jacobian._double_cosets(H, sigma)
+    for memo in (jacobian._factors, jacobian._double_cosets):
+        info = memo.cache_info()
+        assert info.currsize <= info.maxsize
 
 
 # ---------------------------------------------------------------------------
