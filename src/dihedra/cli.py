@@ -15,6 +15,7 @@ object per line for list-valued verbs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -40,6 +41,7 @@ from .oracle import (
     exists_ske_with_geosig,
     record_from_ids,
     scan_skes,
+    vector_from_ids,
 )
 from .realizability import generating_vector, is_realizable
 from .signatures import (
@@ -111,7 +113,7 @@ def _cmd_genvec(args) -> int:
 
 def _cmd_oracle(args) -> int:
     """Print each ske as the scan finds it, so memory stays flat; human mode
-    runs one counting scan first for its header."""
+    runs one counting scan first for its header and builds only the vector."""
     sig = parse_plain_signature(args.signature)
     n = args.n
 
@@ -125,8 +127,11 @@ def _cmd_oracle(args) -> int:
         )
 
     def emit(hyp, ell):
-        rec = record_from_ids(n, sig.gamma, hyp, ell)
-        print(canonical_json(rec.to_json_dict()) if args.json else str(rec.vector))
+        if args.json:
+            rec = record_from_ids(n, sig.gamma, hyp, ell)
+            print(canonical_json(rec.to_json_dict()))
+        else:
+            print(vector_from_ids(n, sig.gamma, hyp, ell))
 
     if not args.json:
         count = 0
@@ -476,10 +481,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+# built on the first call, not at import, then kept for the process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

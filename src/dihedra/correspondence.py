@@ -9,6 +9,7 @@ recovered by inverting the divisor transform of the presignature function.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .divisors import IntegerFunction, divisors, inverse_divisor_transform
@@ -18,7 +19,7 @@ from .errors import (
     ParityError,
     UnsupportedScopeError,
 )
-from .group import Irrep, Subgroup, fixed_dim, rho_index_bound
+from .group import Irrep, Subgroup, _check_n, fixed_dim, rho_index_bound
 from .signatures import GeometricSignature
 
 
@@ -36,8 +37,7 @@ class AnalyticCharacter:
     nu: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 2:
-            raise InvalidArgumentError(f"n must be an integer >= 2, got {self.n!r}")
+        _check_n(self.n)
         expected = 2 if self.n % 2 else 4
         if len(self.psi) != expected:
             raise InvalidArgumentError(
@@ -108,18 +108,30 @@ class AnalyticCharacter:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AnalyticCharacter":
+        """Read the form of schemas/analytic_character.v1.json: keys n, psi
+        and rho only, integer values, rho keys 1, 2, ...; rho may be omitted."""
         try:
-            n = int(data["n"])
-            psi = tuple(int(x) for x in data["psi"])
-            rho = {int(h): int(m) for h, m in dict(data.get("rho", {})).items()}
+            n, psi, rho = data["n"], data["psi"], data.get("rho", {})
+            unknown = sorted(set(data) - {"n", "psi", "rho"})
+            if unknown:
+                raise ValueError(f"unknown keys {unknown}")
+            if not isinstance(psi, list) or not isinstance(rho, dict):
+                raise ValueError("psi must be an array and rho an object")
+            for h in rho:
+                if not isinstance(h, str) or not re.fullmatch("[1-9][0-9]*", h):
+                    raise ValueError(f"rho key {h!r} is not an index 1, 2, ...")
+            for value in (n, *psi, *rho.values()):
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise ValueError(f"{value!r} is not an integer")
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidArgumentError(f"malformed analytic character: {exc}") from exc
+        rho = {int(h): m for h, m in rho.items()}
         bound = rho_index_bound(n) if n >= 2 else 0
         for h in rho:
             if not 1 <= h <= bound:
                 raise InvalidArgumentError(f"rho^{h} is not a representation of D_{n}")
         nu = tuple(rho.get(h, 0) for h in range(1, bound + 1))
-        return cls(n, psi, nu)
+        return cls(n, tuple(psi), nu)
 
     def __str__(self) -> str:
         return self.pretty()
@@ -132,32 +144,20 @@ def analytic_from_geosig(gs: GeometricSignature) -> AnalyticCharacter:
     nonnegative values exactly on realizable signatures (the constructor
     rejects negatives otherwise).
     """
-    n, gamma = gs.n, gs.gamma
+    n, gamma, t = gs.n, gs.gamma, gs.t
     hat = gs.hat_signature_function
-    if n % 2 == 1:
-        t = gs.t
-        if t % 2:
-            raise ParityError(f"{gs}: reflection count t = {t} must be even")
-        mu2 = gamma - 1 + t // 2
-        nu = tuple(
-            2 * (gamma - 1) + t // 2 + hat(n) - hat(h)
-            for h in range(1, rho_index_bound(n) + 1)
-        )
-        return AnalyticCharacter(n, (gamma, mu2), nu)
-    a, b = gs.a, gs.b
-    if (a + b) % 2:
-        raise ParityError(f"{gs}: a + b = {a + b} must be even")
-    A = hat(n) - hat(n // 2)
-    if (b + A) % 2:
-        raise ParityError(f"{gs}: b = {b} and A = {A} must have equal parity")
-    mu2 = gamma - 1 + (a + b) // 2
-    mu3 = gamma - 1 + (b + A) // 2
-    mu4 = gamma - 1 + (a + A) // 2
-    nu = tuple(
-        2 * (gamma - 1) + (a + b) // 2 + hat(n) - hat(h)
-        for h in range(1, rho_index_bound(n) + 1)
-    )
-    return AnalyticCharacter(n, (gamma, mu2, mu3, mu4), nu)
+    if t % 2:
+        what = "reflection count t" if n % 2 else "a + b"
+        raise ParityError(f"{gs}: {what} = {t} must be even")
+    psi = [gamma, gamma - 1 + t // 2]
+    if n % 2 == 0:
+        A = hat(n) - hat(n // 2)
+        if (gs.b + A) % 2:
+            raise ParityError(f"{gs}: b = {gs.b} and A = {A} must have equal parity")
+        psi += [gamma - 1 + (gs.b + A) // 2, gamma - 1 + (gs.a + A) // 2]
+    base = 2 * (gamma - 1) + t // 2 + hat(n)
+    nu = tuple(base - hat(h) for h in range(1, rho_index_bound(n) + 1))
+    return AnalyticCharacter(n, tuple(psi), nu)
 
 
 def presignature(V: AnalyticCharacter, q: int) -> int:
@@ -213,11 +213,10 @@ def geosig_from_analytic(V: AnalyticCharacter) -> GeometricSignature:
             raise NotAnalyticError(
                 f"recovered reflection counts (a, b) = ({a}, {b}) are negative"
             )
+    presig = presignature_function(V)
     periods: list[int] = []
-    for m in divisors(n):
-        if m == 1:
-            continue
-        count = tilde_presignature(V, m)
+    for m in divisors(n)[1:]:
+        count = inverse_divisor_transform(presig, m)
         if count < 0:
             raise NotAnalyticError(f"recovered multiplicity of period {m} is {count}")
         periods.extend([m] * count)
@@ -231,20 +230,20 @@ def rational_multiplicity(gs: GeometricSignature, V: Irrep) -> int:
     fixed-dimension defects over the stabilizer classes, plus 2 for the
     trivial representation.  Doubles the analytic multiplicity.
     """
-    n = gs.n
     d = V.degree
     total = 2 * d * (gs.gamma - 1)
-    stabilizers: list[tuple[Subgroup, int]] = []
-    if n % 2 == 1:
-        stabilizers.append((Subgroup(n, "H", 1), gs.t))
-    else:
-        stabilizers.append((Subgroup(n, "H", 1), gs.a))
-        stabilizers.append((Subgroup(n, "K", 1), gs.b))
-    for m in gs.periods:
-        stabilizers.append((Subgroup(n, "C", m), 1))
-    for sub, count in stabilizers:
+    for sub, count in _stabilizer_classes(gs):
         if count:
             total += count * (d - fixed_dim(V, sub))
     if V.kind == "psi1":
         total += 2
     return total
+
+
+def _stabilizer_classes(gs: GeometricSignature) -> list[tuple[Subgroup, int]]:
+    """(stabilizer, number of branch points of S/G with it): H(1), K(1) and
+    C(m) for each distinct period m, zero counts kept (b = 0 for odd n)."""
+    n = gs.n
+    out = [(Subgroup(n, "H", 1), gs.a), (Subgroup(n, "K", 1), gs.b)]
+    out += [(Subgroup(n, "C", m), gs.periods.count(m)) for m in set(gs.periods)]
+    return out

@@ -57,20 +57,15 @@ class DihedralElement:
         return cls(n, True, i)
 
     def __mul__(self, other: "DihedralElement") -> "DihedralElement":
-        if self.n != other.n:
+        n = self.n
+        if n != other.n:
             raise InvalidArgumentError("cannot multiply elements of different groups")
-        # (s^e1 r^i1)(s^e2 r^i2) = s^(e1+e2) r^(i2 + (-1)^e2 i1)
-        sign = -1 if other.reflector else 1
-        return DihedralElement(
-            self.n,
-            self.reflector != other.reflector,
-            other.exponent + sign * self.exponent,
+        return element_from_index(
+            n, index_mul(n, element_index(self), element_index(other))
         )
 
     def inverse(self) -> "DihedralElement":
-        if self.reflector:
-            return self
-        return DihedralElement(self.n, False, -self.exponent)
+        return element_from_index(self.n, index_inverse(self.n, element_index(self)))
 
     def __pow__(self, k: int) -> "DihedralElement":
         if self.reflector:
@@ -86,11 +81,7 @@ class DihedralElement:
 
     def order(self) -> int:
         """Least k >= 1 with self^k = identity."""
-        if self.reflector:
-            return 2
-        if self.exponent == 0:
-            return 1
-        return self.n // math.gcd(self.n, self.exponent)
+        return index_order(self.n, element_index(self))
 
     def __str__(self) -> str:
         if not self.reflector:
@@ -134,11 +125,9 @@ def parse_element(n: int, text: str) -> DihedralElement:
 
 
 def all_elements(n: int) -> list[DihedralElement]:
-    """The 2n elements, rotations first, exponents ascending."""
+    """The 2n elements by integer id: rotations first, exponents ascending."""
     _check_n(n)
-    rot = [DihedralElement.rotation(n, i) for i in range(n)]
-    ref = [DihedralElement.reflection(n, i) for i in range(n)]
-    return rot + ref
+    return [element_from_index(n, x) for x in range(2 * n)]
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +146,21 @@ def element_from_index(n: int, idx: int) -> DihedralElement:
 
 def index_mul(n: int, x: int, y: int) -> int:
     """Product of two integer-encoded elements of D_n."""
+    # (s^e1 r^i1)(s^e2 r^i2) = s^(e1+e2) r^(i2 + (-1)^e2 i1)
     r1, i1 = x // n, x % n
     r2, i2 = y // n, y % n
     sign = -1 if r2 else 1
     return (i2 + sign * i1) % n + n * (r1 ^ r2)
+
+
+def index_inverse(n: int, x: int) -> int:
+    """Inverse of an integer-encoded element: reflections are involutions."""
+    return x if x >= n else -x % n
+
+
+def index_order(n: int, x: int) -> int:
+    """Order of an integer-encoded element; the identity 0 has order 1."""
+    return 2 if x >= n else n // math.gcd(n, x)
 
 
 def span(n: int, ids) -> frozenset[int]:

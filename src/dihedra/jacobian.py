@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .correspondence import analytic_from_geosig
+from .correspondence import _stabilizer_classes, analytic_from_geosig
 from .divisors import divisors, euler_phi, prime_factors
 from .errors import InvalidArgumentError
 from .group import Irrep, Subgroup, element_index, fixed_dim, index_mul, subgroup_classes
@@ -188,13 +188,9 @@ def quotient_genus(
     if H.n != gs.n:
         raise InvalidArgumentError("subgroup belongs to a different group")
     require_realizable(gs, allow_low_genus)
-    n = gs.n
-    index = (2 * n) // H.order
+    index = (2 * gs.n) // H.order
     total = index * (2 * gs.gamma - 2)
-
-    stabilizers = [(Subgroup(n, "H", 1), gs.a), (Subgroup(n, "K", 1), gs.b)]
-    stabilizers += [(Subgroup(n, "C", m), gs.periods.count(m)) for m in set(gs.periods)]
-    for sigma, count in stabilizers:
+    for sigma, count in _stabilizer_classes(gs):
         if count:
             total += count * (index - _double_cosets(H, sigma))
     if total % 2 != 0:

@@ -13,7 +13,6 @@ enumerated in lexicographic order of that encoding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,7 +24,9 @@ from .group import (
     _check_n,
     element_from_index,
     element_index,
+    index_inverse,
     index_mul,
+    index_order,
     irreducible_reps,
     n_function,
     parse_element,
@@ -112,22 +113,25 @@ def verify_ske(vector: GeneratingVector, sig: PlainSignature) -> bool:
     return vector.generates()
 
 
-def geosig_of_ske(vector: GeneratingVector) -> GeometricSignature:
-    """Geometric signature of the action presented by a ske: reflection
-    entries split by conjugacy class (exponent parity, even n), rotation
-    entries contribute their orders as cyclic periods."""
-    n = vector.n
+def _split(n: int, ell_ids) -> tuple[int, int, tuple[int, ...]]:
+    """(a, b, sorted periods) of integer-encoded elliptic entries: reflections
+    split by class (exponent parity, even n), rotations give their orders."""
     a = b = 0
     periods = []
-    for c in vector.elliptic:
-        if c.reflector:
-            if n % 2 == 0 and c.exponent % 2 == 1:
-                b += 1
-            else:
-                a += 1
+    for x in ell_ids:
+        if x < n:
+            periods.append(index_order(n, x))
+        elif n % 2 == 0 and (x - n) % 2:
+            b += 1
         else:
-            periods.append(c.order())
-    return GeometricSignature(n, vector.gamma, a, b, tuple(periods))
+            a += 1
+    return a, b, tuple(sorted(periods))
+
+
+def geosig_of_ske(vector: GeneratingVector) -> GeometricSignature:
+    """Geometric signature of the action presented by a ske."""
+    a, b, periods = _split(vector.n, map(element_index, vector.elliptic))
+    return GeometricSignature(vector.n, vector.gamma, a, b, periods)
 
 
 def chevalley_weil(vector: GeneratingVector) -> AnalyticCharacter:
@@ -170,12 +174,14 @@ class SkeRecord:
 # enumeration engine over integer-encoded elements
 
 
-@lru_cache(maxsize=None)
+# Both memos hold O(n^2) data per n: the bound keeps every n = 2..12 that the
+# default budget admits, not every n a process has ever scanned.
+@lru_cache(maxsize=12)
 def _tables(n: int):
     size = 2 * n
     M = [[index_mul(n, x, y) for y in range(size)] for x in range(size)]
-    inv = [x if x >= n else (-x) % n for x in range(size)]
-    order = [2 if x >= n else (n // math.gcd(n, x) if x else 1) for x in range(size)]
+    inv = [index_inverse(n, x) for x in range(size)]
+    order = [index_order(n, x) for x in range(size)]
     by_order: dict[int, list[int]] = {}
     for x in range(size):
         by_order.setdefault(order[x], []).append(x)
@@ -221,7 +227,7 @@ class _SubgroupInterner:
         return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=12)
 def _interner(n: int) -> _SubgroupInterner:
     return _SubgroupInterner(n)
 
@@ -330,15 +336,21 @@ def scan_skes(
     return stop
 
 
-def record_from_ids(
+def vector_from_ids(
     n: int, gamma: int, hyp_ids: tuple[int, ...], ell_ids: tuple[int, ...]
-) -> SkeRecord:
-    vector = GeneratingVector(
+) -> GeneratingVector:
+    return GeneratingVector(
         n,
         gamma,
         tuple(element_from_index(n, x) for x in hyp_ids),
         tuple(element_from_index(n, x) for x in ell_ids),
     )
+
+
+def record_from_ids(
+    n: int, gamma: int, hyp_ids: tuple[int, ...], ell_ids: tuple[int, ...]
+) -> SkeRecord:
+    vector = vector_from_ids(n, gamma, hyp_ids, ell_ids)
     return SkeRecord(vector, geosig_of_ske(vector), chevalley_weil(vector))
 
 
@@ -390,27 +402,11 @@ def exists_ske_with_geosig(
 ) -> bool:
     """True iff some ske of the plain signature presents exactly gs (same
     reflection-class split and the same period multiset)."""
-    n = gs.n
-    target = (gs.a, gs.b, gs.periods)
-    even = n % 2 == 0
-
-    def matches(hyp_ids, ell_ids):
-        a = b = 0
-        periods = []
-        for x in ell_ids:
-            if x >= n:
-                if even and (x - n) % 2 == 1:
-                    b += 1
-                else:
-                    a += 1
-            else:
-                periods.append(n // math.gcd(n, x))
-        return (a, b, tuple(sorted(periods))) == target
-
+    n, target = gs.n, (gs.a, gs.b, gs.periods)
     return scan_skes(
         n,
         gs.plain(),
-        matches,
+        lambda hyp, ell: _split(n, ell) == target,
         max_group_order=max_group_order,
         max_tuple_length=max_tuple_length,
     )

@@ -22,7 +22,7 @@ from .errors import (
     InvalidArgumentError,
     NotRealizableError,
 )
-from .group import DihedralElement, Irrep
+from .group import DihedralElement, Irrep, _check_n
 from .oracle import GeneratingVector, geosig_of_ske, verify_ske
 from .signatures import GeometricSignature
 
@@ -264,8 +264,7 @@ def enumerate_realizable_geosigs(
 ) -> list[GeometricSignature]:
     """All realizable geometric signatures for D_n with genus <= genus_bound,
     sorted by (genus, gamma, a, b, periods)."""
-    if not isinstance(n, int) or n < 2:
-        raise InvalidArgumentError(f"n must be an integer >= 2, got {n!r}")
+    _check_n(n)
     if genus_bound < 0:
         return []
     period_values = [m for m in divisors(n) if m >= 2]

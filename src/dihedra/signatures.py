@@ -24,6 +24,7 @@ from .errors import (
     InvalidArgumentError,
     SignatureSyntaxError,
 )
+from .group import _check_n
 
 
 def _check_nonneg(value: int, name: str) -> None:
@@ -60,8 +61,7 @@ class GeometricSignature:
     periods: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 2:
-            raise InvalidArgumentError(f"n must be an integer >= 2, got {self.n!r}")
+        _check_n(self.n)
         _check_nonneg(self.gamma, "gamma")
         _check_nonneg(self.a, "a")
         _check_nonneg(self.b, "b")

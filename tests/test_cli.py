@@ -94,15 +94,16 @@ def test_oracle_json_matches_golden(capsys):
 
 
 def test_oracle_streams_each_record_before_building_the_next(monkeypatch):
-    """Record k+1 is built only after line k is printed, in both modes, so
-    memory does not grow with the number of skes."""
+    """Item k+1 is built only after line k is printed, in both modes, so
+    memory does not grow with the number of skes.  --json builds a record
+    per ske; human mode builds only the vector it prints."""
     import dihedra.cli as cli
 
-    build = cli.record_from_ids
-    for argv, header in (
-        (["oracle", "3", "(0; 2,2,3,3)", "--json"], 0),
-        (["oracle", "3", "(0; 2,2,3,3)"], 1),
+    for argv, builder, header in (
+        (["oracle", "3", "(0; 2,2,3,3)", "--json"], "record_from_ids", 0),
+        (["oracle", "3", "(0; 2,2,3,3)"], "vector_from_ids", 1),
     ):
+        build = getattr(cli, builder)
         out = io.StringIO()
         lines_at_build = []
 
@@ -110,10 +111,18 @@ def test_oracle_streams_each_record_before_building_the_next(monkeypatch):
             lines_at_build.append(out.getvalue().count("\n"))
             return build(*args)
 
-        monkeypatch.setattr(cli, "record_from_ids", logged)
+        monkeypatch.setattr(cli, builder, logged)
         with contextlib.redirect_stdout(out):
             assert cli.main(argv) == 0
         assert lines_at_build == [header + k for k in range(12)]
+        monkeypatch.undo()
+
+    def no_records(*args):
+        raise AssertionError("human-mode oracle built a full ske record")
+
+    monkeypatch.setattr(cli, "record_from_ids", no_records)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["oracle", "3", "(0; 2,2,3,3)"]) == 0
 
 
 def test_oracle_stops_quietly_when_the_reader_closes_stdout():
@@ -317,6 +326,24 @@ def test_domain_errors_are_canonical_json(capsys):
             2,
             '{"error":"invalid-argument",'
             f'"message":"n must be an integer >= 2, got {n}"}}\n',
+            "",
+        )
+    # characters that schemas/analytic_character.v1.json rules out are
+    # refused, not coerced: floats, strings and booleans, other keys, and rho
+    # keys with leading zeros ("01" would otherwise overwrite "1")
+    for character, message in (
+        ('{"n":3.9,"psi":[0.5,"0"],"rho":{"1":true}}', "3.9 is not an integer"),
+        ('{"n":3,"psi":[0,"0"],"rho":{"1":1}}', "'0' is not an integer"),
+        ('{"n":3,"psi":[0,0],"rho":{"1":true}}', "True is not an integer"),
+        ('{"n":3,"psi":[0,0],"rho":{"1":1,"01":0}}',
+         "rho key '01' is not an index 1, 2, ..."),
+        ('{"n":3,"psi":[0,0],"rho":{"1":1},"x":1}', "unknown keys ['x']"),
+        ('{"n":3,"psi":"00","rho":{"1":1}}', "psi must be an array and rho an object"),
+    ):
+        assert run(capsys, "geosig", character) == (
+            2,
+            '{"error":"invalid-argument",'
+            f'"message":"malformed analytic character: {message}"}}\n',
             "",
         )
     for argv in (

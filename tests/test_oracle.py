@@ -19,6 +19,7 @@ from dihedra import (
     scan_skes,
     verify_ske,
 )
+from dihedra import oracle
 from dihedra.cli import canonical_json
 from dihedra.group import element_from_index, element_index
 
@@ -224,6 +225,40 @@ def test_exists_ske_with_geosig_matches_enumeration():
     assert GeometricSignature(4, 0, 2, 2, ()) in splits
     for gs in splits:
         assert exists_ske_with_geosig(gs)
+    # odd n, where all reflections form one class, and n = 6, where an
+    # order-2 entry is s*r^even, s*r^odd or the rotation r^3: every way to
+    # split the order-2 entries is found exactly when some ske presents it
+    for n, sig, expected in (
+        (3, PlainSignature(0, (2, 2, 3, 3)), GeometricSignature(3, 0, 2, 0, (3, 3))),
+        (5, PlainSignature(0, (2, 2, 5)), GeometricSignature(5, 0, 2, 0, (5,))),
+        (6, PlainSignature(0, (2, 2, 2, 3)), GeometricSignature(6, 0, 1, 1, (2, 3))),
+        (6, PlainSignature(0, (2, 2, 2, 2)), GeometricSignature(6, 0, 2, 2, ())),
+    ):
+        reachable = {geosig_of_ske(rec.vector) for rec in enumerate_skes(n, sig)}
+        assert reachable == {expected}
+        splits = set()
+        scan_skes(n, sig, lambda hyp, ell: splits.add(oracle._split(n, ell)))
+        assert splits == {(expected.a, expected.b, expected.periods)}
+        k = sig.periods.count(2)
+        rest = sig.periods[k:]
+        for a in range(k + 1):
+            for b in range(k + 1 - a if n % 2 == 0 else 1):
+                rotations = k - a - b
+                if rotations and n % 2:
+                    continue
+                gs = GeometricSignature(n, sig.gamma, a, b, (2,) * rotations + rest)
+                assert exists_ske_with_geosig(gs) == (gs == expected)
+
+
+def test_oracle_memos_are_bounded():
+    ns = range(2, 20)
+    for memo in (oracle._tables, oracle._interner):
+        maxsize = memo.cache_info().maxsize
+        # n = 2..12, all that the default budget admits, fit without eviction
+        assert maxsize is not None and 11 <= maxsize < len(ns)
+        for n in ns:
+            memo(n)
+        assert memo.cache_info().currsize <= maxsize
 
 
 def test_budgets():
